@@ -12,6 +12,6 @@ from .generators import generate_qft, generate_template
 from .metrics import BenchReport, bench_circuit, fidelity, mse, ngs, run_benchmark
 from .pe_model import (CycleReport, MemoryLayout, PEConfig, calibrate_overhead,
                        estimate_cycles, estimate_memory_matmul,
-                       estimate_memory_qea, modeled_time, partition_state)
+                       estimate_memory_qea, partition_state)
 
 __version__ = "0.1.0"

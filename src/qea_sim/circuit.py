@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ class Gate:
             raise ValueError(f"{self.kind.value} operands must be distinct")
         if (self.angle is not None) != (self.kind in PARAMETERIZED):
             raise ValueError(f"{self.kind.value}: angle {'required' if self.kind in PARAMETERIZED else 'not allowed'}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind.value}: angle must be finite, got {self.angle!r}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ class TranspiledCircuit:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.global_phase):
+            raise ValueError(f"global phase must be finite, got {self.global_phase!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.kind in COMPOSITE:
@@ -132,14 +137,18 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return np.array([[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128)
 
 
-def transpile(c: Circuit) -> TranspiledCircuit:
+def transpile(c: Circuit | TranspiledCircuit) -> TranspiledCircuit:
     """Rewrite CP and SWAP into the executable set.
+
+    An already transpiled circuit is returned as is, keeping its phase.
 
     CP(theta) on (control, target) becomes
         Rz(theta/2) @ control, CX, Rz(-theta/2) @ target, CX, Rz(theta/2) @ target
     and contributes theta/4 of global phase (the five-gate product equals
     e^{-i theta/4} CP(theta)).  SWAP becomes the usual three CX gates.
     """
+    if isinstance(c, TranspiledCircuit):
+        return c
     out: list[Gate] = []
     phase = 0.0
     for g in c.gates:
@@ -271,10 +280,14 @@ def circuit_to_dict(c: Circuit | TranspiledCircuit) -> dict:
 
 
 def circuit_from_dict(d: dict) -> Circuit | TranspiledCircuit:
-    gates = tuple(
-        Gate(GateKind(g["kind"]), tuple(g["qubits"]), g.get("angle"))
-        for g in d["gates"]
-    )
-    if "global_phase" in d:
-        return TranspiledCircuit(d["n"], gates, d["global_phase"])
-    return Circuit(d["n"], gates)
+    """Inverse of circuit_to_dict; raises CircuitParseError on a malformed dict."""
+    try:
+        # operator.index rejects non-integer counts and qubits; Circuit checks ranges
+        gates = tuple(Gate(GateKind(g["kind"]), tuple(map(operator.index, g["qubits"])), g.get("angle"))
+                      for g in d["gates"])
+        c = Circuit(operator.index(d["n"]), gates)
+        return TranspiledCircuit(c.n, c.gates, d["global_phase"]) if "global_phase" in d else c
+    except KeyError as exc:
+        raise CircuitParseError(f"missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CircuitParseError(f"malformed circuit: {exc}") from None

@@ -18,8 +18,9 @@ import tempfile
 from pathlib import Path
 
 from . import metrics, pe_model
-from .circuit import (Circuit, CircuitParseError, circuit_from_dict,
-                      circuit_to_dict, parse_circuit, transpile)
+from .circuit import (Circuit, CircuitParseError, TranspiledCircuit,
+                      circuit_from_dict, circuit_to_dict, parse_circuit,
+                      transpile)
 from .engine import FIXED, FLOAT, StateVector, format_dump, max_workers, run_circuit
 from .generators import TOPOLOGIES, generate_qft, generate_template
 
@@ -55,17 +56,15 @@ def parse_generate_spec(spec: str) -> tuple[str, Circuit]:
     raise ValueError(f"unknown generator {name!r} (expected qft or template)")
 
 
-def load_circuit_file(path: str) -> tuple[str, Circuit]:
+def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
+    """A transpiled JSON circuit is returned as is, keeping its global phase."""
     text = Path(path).read_text()
     if path.endswith(".json"):
-        c = circuit_from_dict(json.loads(text))
-        if not isinstance(c, Circuit):
-            c = c.as_circuit()
-        return Path(path).stem, c
+        return Path(path).stem, circuit_from_dict(json.loads(text))
     return Path(path).stem, parse_circuit(text)
 
 
-def _resolve_source(args) -> tuple[str, Circuit]:
+def _resolve_source(args) -> tuple[str, Circuit | TranspiledCircuit]:
     if getattr(args, "generate", None):
         if getattr(args, "circuit", None):
             raise ValueError("give either a circuit file or --generate, not both")
@@ -94,15 +93,11 @@ def _pe_config(args) -> pe_model.PEConfig:
     return pe_model.PEConfig(**kwargs)
 
 
-def _workers() -> int:
-    return max_workers()
-
-
 def cmd_run(args) -> int:
     name, circ = _resolve_source(args)
     tc = transpile(circ)
     state = StateVector.zero(circ.n, args.arith)
-    state, stats = run_circuit(tc, state, _workers())
+    state, stats = run_circuit(tc, state, max_workers())
     dump = format_dump(state)
     if args.out:
         _atomic_write(args.out, dump)
@@ -156,7 +151,7 @@ def cmd_bench(args) -> int:
     failed = 0
     for name, load in suite:
         try:
-            reports.append(metrics.bench_circuit(name, load(), cfg, args.repeats, _workers()))
+            reports.append(metrics.bench_circuit(name, load(), cfg, args.repeats, max_workers()))
         except Exception as exc:  # keep the suite going, flag the entry
             failed += 1
             print(f"{name}: FAILED: {exc}", file=sys.stderr)
@@ -172,7 +167,7 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     name, circ = _resolve_source(args)
     tc = transpile(circ)
-    workers = _workers()
+    workers = max_workers()
     fixed, _ = run_circuit(tc, StateVector.zero(circ.n, FIXED), workers)
     ref, _ = run_circuit(tc, StateVector.zero(circ.n, FLOAT), workers)
     fid = metrics.fidelity(fixed, ref)

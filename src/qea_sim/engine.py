@@ -3,9 +3,11 @@
 Index convention is MSB-first: qubit q owns bit (n-1-q) of the amplitude
 index, so a gate on qubit j pairs amplitudes at stride 2^(n-j-1).
 
-Two arithmetic variants share the kernels:
-  * "float": complex128, used as the accuracy reference,
-  * "fixed": Q2.30 raw words (two int32 arrays), modelling the device.
+The state is stored as two planes, shape (2, 2^n): row 0 holds the real
+parts, row 1 the imaginary parts (the device's two words per amplitude).
+Two arithmetic variants share this layout and the kernels:
+  * "float": float64 planes, used as the accuracy reference,
+  * "fixed": int32 planes of Q2.30 raw words, modelling the device.
 
 Dense single-qubit updates are pair-atomic: both old amplitudes of a pair
 are read before either new one is written.  CX is a pure index swap and
@@ -18,6 +20,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -38,35 +42,53 @@ def max_workers() -> int:
         return 1
 
 
-class StateVector:
-    """2^n amplitudes in one of the two arithmetic variants."""
+def _round_sat(wide: np.ndarray) -> np.ndarray:
+    return fx.saturate_array(fx.round_q60_array(wide))
 
-    __slots__ = ("n", "arith", "amps", "raw_re", "raw_im")
+
+def _same(x):
+    return x
+
+
+@dataclass(frozen=True)
+class _Arith:
+    """What the shared code needs to know about one arithmetic variant."""
+
+    dtype: type                 # storage word of a plane
+    one: int | float            # storage value of 1.0
+    quantize: Callable          # float64 array -> storage words
+    scalar: Callable            # float -> storage scalar, for gate entries
+    wide: type                  # kernel intermediate
+    narrow_mul: Callable        # applied after each complex-product component
+    narrow_add: Callable        # applied after each sum of two products
+
+
+_ARITH = {
+    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, lambda x: fx.to_fixed(x).raw,
+                  np.int64, _round_sat, fx.saturate_array),
+    FLOAT: _Arith(np.float64, 1.0, _same, float, np.float64, _same, _same),
+}
+
+
+class StateVector:
+    """2^n amplitudes as a (2, 2^n) real/imaginary plane pair."""
+
+    __slots__ = ("n", "arith", "planes")
 
     def __init__(self, n: int, arith: str = FLOAT):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
-        if arith not in (FIXED, FLOAT):
+        if arith not in _ARITH:
             raise ValueError(f"unknown arithmetic variant {arith!r}")
         self.n = n
         self.arith = arith
-        size = 1 << n
-        if arith == FLOAT:
-            self.amps = np.zeros(size, dtype=np.complex128)
-            self.raw_re = self.raw_im = None
-        else:
-            self.amps = None
-            self.raw_re = np.zeros(size, dtype=np.int32)
-            self.raw_im = np.zeros(size, dtype=np.int32)
+        self.planes = np.zeros((2, 1 << n), dtype=_ARITH[arith].dtype)
 
     @classmethod
     def zero(cls, n: int, arith: str = FLOAT) -> "StateVector":
         """|0...0>: amplitude 0 is exactly one, the rest exactly zero."""
         sv = cls(n, arith)
-        if arith == FLOAT:
-            sv.amps[0] = 1.0
-        else:
-            sv.raw_re[0] = fx.RAW_ONE
+        sv.planes[0, 0] = _ARITH[arith].one
         return sv
 
     @classmethod
@@ -76,33 +98,22 @@ class StateVector:
         if 1 << n != vec.size:
             raise ValueError(f"length {vec.size} is not a power of two")
         sv = cls(n, arith)
-        if arith == FLOAT:
-            sv.amps[:] = vec
-        else:
-            for i, z in enumerate(vec):
-                c = fx.FixedComplex.from_complex(complex(z))
-                sv.raw_re[i] = c.re.raw
-                sv.raw_im[i] = c.im.raw
+        sv.planes[:] = _ARITH[arith].quantize(np.stack((vec.real, vec.imag)))
         return sv
 
-    def copy(self) -> "StateVector":
-        sv = StateVector(self.n, self.arith)
-        if self.arith == FLOAT:
-            sv.amps[:] = self.amps
-        else:
-            sv.raw_re[:] = self.raw_re
-            sv.raw_im[:] = self.raw_im
-        return sv
+    def _values(self) -> np.ndarray:
+        """Planes as float64 amplitude values (exact for both variants)."""
+        return self.planes / _ARITH[self.arith].one
 
     def to_complex(self) -> np.ndarray:
         """Double-precision view of the amplitudes (exact for both variants)."""
-        if self.arith == FLOAT:
-            return self.amps.copy()
-        return (self.raw_re.astype(np.float64) + 1j * self.raw_im.astype(np.float64)) / fx.RAW_ONE
+        out = np.empty(len(self), dtype=np.complex128)
+        out.real, out.imag = self._values()
+        return out
 
     def norm_sq(self) -> float:
-        v = self.to_complex()
-        return float(np.sum(v.real * v.real + v.imag * v.imag))
+        re, im = self._values()
+        return float(np.sum(re * re + im * im))
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -110,26 +121,21 @@ class StateVector:
 
 @dataclass(frozen=True)
 class GateApplication:
-    """One single-qubit update: 2x2 entries in the active arithmetic."""
+    """One single-qubit update: 2x2 entries as (re, im) pairs of storage
+    scalars (raw Q2.30 ints for fixed, floats for float)."""
 
-    u00: object
-    u01: object
-    u10: object
-    u11: object
+    u00: tuple
+    u01: tuple
+    u10: tuple
+    u11: tuple
     target: int
     mode: str  # SPARSE | DENSE
 
     def __post_init__(self) -> None:
         if self.mode not in (SPARSE, DENSE):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == SPARSE and not (_is_zero(self.u01) and _is_zero(self.u10)):
+        if self.mode == SPARSE and any(self.u01 + self.u10):
             raise ValueError("sparse mode requires zero off-diagonal entries")
-
-
-def _is_zero(u) -> bool:
-    if isinstance(u, fx.FixedComplex):
-        return u.re.raw == 0 and u.im.raw == 0
-    return u == 0
 
 
 def make_application(gate: Gate, arith: str) -> GateApplication:
@@ -137,16 +143,9 @@ def make_application(gate: Gate, arith: str) -> GateApplication:
     mode = classify(gate)
     if mode == CX:
         raise ValueError("CX is handled by the swapper, not as a matrix")
-    u = gate_matrix(gate)
-    if arith == FIXED:
-        ent = [fx.FixedComplex.from_complex(complex(z)) for z in u.reshape(4)]
-    else:
-        ent = [complex(z) for z in u.reshape(4)]
-    if mode == SPARSE:
-        # exact diagonal in both arithmetics
-        ent[1] = fx.CZERO if arith == FIXED else 0j
-        ent[2] = fx.CZERO if arith == FIXED else 0j
-    return GateApplication(ent[0], ent[1], ent[2], ent[3], gate.qubits[0], mode)
+    q = _ARITH[arith].scalar
+    ent = [(q(z.real), q(z.imag)) for z in gate_matrix(gate).reshape(4).tolist()]
+    return GateApplication(*ent, gate.qubits[0], mode)
 
 
 def _chunks(total: int, workers: int):
@@ -166,68 +165,41 @@ def _run_sharded(kernel, nblocks: int, workers: int) -> None:
 
 
 def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> StateVector:
-    """In-place single-qubit update at stride 2^(n-target-1)."""
+    """In-place single-qubit update at stride 2^(n-target-1).
+
+    Complex arithmetic is decomposed into separately rounded real ufuncs:
+    numpy's fused complex multiply may contract with FMA, which would break
+    bit-identity with the scalar flag-loop kernel.  Each output component
+    is one expression: that fixes the float operation order, and each
+    product is freed as soon as it has been summed.  The inputs are
+    widened copies (int64 for fixed), so outputs can be written at once.
+    """
     n = state.n
     if not 0 <= app.target < n:
         raise ValueError(f"target {app.target} out of range for n={n}")
     stride = 1 << (n - app.target - 1)
-    nblocks = (1 << n) >> (n - app.target)  # == 2^target
+    nblocks = 1 << app.target
+    re, im = state.planes.reshape(2, nblocks, 2, stride)
+    arith = _ARITH[state.arith]
+    wide, mul, add = arith.wide, arith.narrow_mul, arith.narrow_add
 
-    if state.arith == FLOAT:
-        # Complex arithmetic is decomposed into separately rounded real
-        # ufuncs: numpy's fused complex multiply may contract with FMA,
-        # which would break bit-identity with the scalar flag-loop kernel.
-        view = state.amps.reshape(nblocks, 2, stride)
-        if app.mode == SPARSE:
-            def kernel(sl):
-                for half, u in ((0, app.u00), (1, app.u11)):
-                    re = view[sl, half, :].real.copy()
-                    im = view[sl, half, :].imag.copy()
-                    view[sl, half, :].real = u.real * re - u.imag * im
-                    view[sl, half, :].imag = u.real * im + u.imag * re
-        else:
-            def kernel(sl):
-                lo_re = view[sl, 0, :].real.copy()
-                lo_im = view[sl, 0, :].imag.copy()
-                hi_re = view[sl, 1, :].real.copy()
-                hi_im = view[sl, 1, :].imag.copy()
-                u00, u01, u10, u11 = app.u00, app.u01, app.u10, app.u11
-                view[sl, 0, :].real = ((u00.real * lo_re - u00.imag * lo_im)
-                                       + (u01.real * hi_re - u01.imag * hi_im))
-                view[sl, 0, :].imag = ((u00.real * lo_im + u00.imag * lo_re)
-                                       + (u01.real * hi_im + u01.imag * hi_re))
-                view[sl, 1, :].real = ((u10.real * lo_re - u10.imag * lo_im)
-                                       + (u11.real * hi_re - u11.imag * hi_im))
-                view[sl, 1, :].imag = ((u10.real * lo_im + u10.imag * lo_re)
-                                       + (u11.real * hi_im + u11.imag * hi_re))
+    if app.mode == SPARSE:
+        def kernel(sl):
+            for half, (ur, ui) in ((0, app.u00), (1, app.u11)):
+                xr = re[sl, half].astype(wide)
+                xi = im[sl, half].astype(wide)
+                re[sl, half] = mul(ur * xr - ui * xi)
+                im[sl, half] = mul(ur * xi + ui * xr)
     else:
-        vre = state.raw_re.reshape(nblocks, 2, stride)
-        vim = state.raw_im.reshape(nblocks, 2, stride)
-        if app.mode == SPARSE:
-            def kernel(sl):
-                for half, u in ((0, app.u00), (1, app.u11)):
-                    re = vre[sl, half, :].astype(np.int64)
-                    im = vim[sl, half, :].astype(np.int64)
-                    re, im = fx.cmul_arrays(u, re, im)
-                    vre[sl, half, :] = re.astype(np.int32)
-                    vim[sl, half, :] = im.astype(np.int32)
-        else:
-            def kernel(sl):
-                lo_re = vre[sl, 0, :].astype(np.int64)
-                lo_im = vim[sl, 0, :].astype(np.int64)
-                hi_re = vre[sl, 1, :].astype(np.int64)
-                hi_im = vim[sl, 1, :].astype(np.int64)
-                # one SU op per output amplitude: two multiplies, one add
-                a_re, a_im = fx.cmul_arrays(app.u00, lo_re, lo_im)
-                b_re, b_im = fx.cmul_arrays(app.u01, hi_re, hi_im)
-                new_lo = fx.cadd_arrays(a_re, a_im, b_re, b_im)
-                c_re, c_im = fx.cmul_arrays(app.u10, lo_re, lo_im)
-                d_re, d_im = fx.cmul_arrays(app.u11, hi_re, hi_im)
-                new_hi = fx.cadd_arrays(c_re, c_im, d_re, d_im)
-                vre[sl, 0, :] = new_lo[0].astype(np.int32)
-                vim[sl, 0, :] = new_lo[1].astype(np.int32)
-                vre[sl, 1, :] = new_hi[0].astype(np.int32)
-                vim[sl, 1, :] = new_hi[1].astype(np.int32)
+        def kernel(sl):
+            lr = re[sl, 0].astype(wide)
+            li = im[sl, 0].astype(wide)
+            hr = re[sl, 1].astype(wide)
+            hi = im[sl, 1].astype(wide)
+            # one SU op per output amplitude: two multiplies, one add
+            for half, (ar, ai), (br, bi) in ((0, app.u00, app.u01), (1, app.u10, app.u11)):
+                re[sl, half] = add(mul(ar * lr - ai * li) + mul(br * hr - bi * hi))
+                im[sl, half] = add(mul(ar * li + ai * lr) + mul(br * hi + bi * hr))
 
     _run_sharded(kernel, nblocks, workers)
     return state
@@ -248,25 +220,19 @@ def apply_cx(state: StateVector, control: int, target: int, workers: int = 1) ->
     pre = (1 << n) >> (hi + 1)
     mid = (1 << hi) >> (lo + 1)
     post = 1 << lo
-    # axis layout: (pre, bit hi, mid, bit lo, post)
-    if bc > bt:
-        csel, ta = 1, 3    # control on axis 1, target on axis 3
-    else:
-        csel, ta = 3, 1
-
-    arrays = (state.amps,) if state.arith == FLOAT else (state.raw_re, state.raw_im)
+    # axis layout: (plane, pre, bit hi, mid, bit lo, post)
+    v = state.planes.reshape(2, pre, 2, mid, 2, post)
+    if bc > bt:   # control is the high bit: swap lo 0 <-> lo 1 where hi = 1
+        a_idx, b_idx = (1, slice(None), 0), (1, slice(None), 1)
+    else:         # control is the low bit: swap hi 0 <-> hi 1 where lo = 1
+        a_idx, b_idx = (0, slice(None), 1), (1, slice(None), 1)
 
     def kernel(sl):
-        for arr in arrays:
-            v = arr.reshape(pre, 2, mid, 2, post)
-            if csel == 1:
-                a = v[sl, 1, :, 0, :].copy()
-                v[sl, 1, :, 0, :] = v[sl, 1, :, 1, :]
-                v[sl, 1, :, 1, :] = a
-            else:
-                a = v[sl, 0, :, 1, :].copy()
-                v[sl, 0, :, 1, :] = v[sl, 1, :, 1, :]
-                v[sl, 1, :, 1, :] = a
+        a = (slice(None), sl) + a_idx
+        b = (slice(None), sl) + b_idx
+        tmp = v[a].copy()
+        v[a] = v[b]
+        v[b] = tmp
 
     _run_sharded(kernel, pre, workers)
     return state
@@ -311,8 +277,7 @@ def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -
     Same contract as run_circuit; the input state is copied (and converted
     to the float variant if needed), never mutated.
     """
-    ref = state.copy() if state.arith == FLOAT else StateVector.from_complex(state.to_complex(), FLOAT)
-    out, _ = run_circuit(tc, ref, workers)
+    out, _ = run_circuit(tc, StateVector.from_complex(state.to_complex(), FLOAT), workers)
     return out
 
 
@@ -330,22 +295,24 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
     size = 1 << n
     fixed = state.arith == FIXED
     sparse = app.mode == SPARSE
+    re, im = state.planes
 
     if fixed:
-        def read(i):
-            return fx.FixedComplex(fx.Fixed(int(state.raw_re[i])), fx.Fixed(int(state.raw_im[i])))
+        def pack(r, i):
+            return fx.FixedComplex(fx.Fixed(int(r)), fx.Fixed(int(i)))
 
         def write(i, v):
-            state.raw_re[i] = v.re.raw
-            state.raw_im[i] = v.im.raw
+            re[i] = v.re.raw
+            im[i] = v.im.raw
 
         mul, add = fx.cmul, fx.cadd
     else:
-        def read(i):
-            return complex(state.amps[i])
+        def pack(r, i):
+            return complex(float(r), float(i))
 
         def write(i, v):
-            state.amps[i] = v
+            re[i] = v.real
+            im[i] = v.imag
 
         def mul(a, b):
             # same rounding sequence as the vectorized kernel
@@ -355,20 +322,24 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
         def add(a, b):
             return complex(a.real + b.real, a.imag + b.imag)
 
+    def read(i):
+        return pack(re[i], im[i])
+
+    u00, u01, u10, u11 = (pack(*u) for u in (app.u00, app.u01, app.u10, app.u11))
     buf = [None] * stride
     flag = 1
     for i in range(size):
         if flag:
             if sparse:
-                write(i, mul(app.u00, read(i)))
+                write(i, mul(u00, read(i)))
             else:
                 buf[i % stride] = read(i)
-                write(i, add(mul(app.u00, read(i)), mul(app.u01, read(i + stride))))
+                write(i, add(mul(u00, read(i)), mul(u01, read(i + stride))))
         else:
             if sparse:
-                write(i, mul(app.u11, read(i)))
+                write(i, mul(u11, read(i)))
             else:
-                write(i, add(mul(app.u10, buf[i % stride]), mul(app.u11, read(i))))
+                write(i, add(mul(u10, buf[i % stride]), mul(u11, read(i))))
         if i % stride == stride - 1:
             flag ^= 1
     return state
@@ -381,33 +352,48 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def format_dump(state: StateVector) -> str:
-    lines = [f"n={state.n} arith={state.arith}"]
-    if state.arith == FIXED:
-        for i in range(len(state)):
-            re = fx.Fixed(int(state.raw_re[i]))
-            im = fx.Fixed(int(state.raw_im[i]))
-            lines.append(f"{i} {re.hex()} {im.hex()} {fx.to_float(re)!r} {fx.to_float(im)!r}")
-    else:
-        for i, z in enumerate(state.amps):
-            re = fx.to_fixed(float(z.real))
-            im = fx.to_fixed(float(z.imag))
-            lines.append(f"{i} {re.hex()} {im.hex()} {float(z.real)!r} {float(z.imag)!r}")
-    return "\n".join(lines) + "\n"
+    values = state._values()
+    words = fx.to_fixed_array(values).view(np.uint32)
+    lines = [f"n={state.n} arith={state.arith}\n"]
+    # iterate the arrays (not .tolist()) so no whole-state Python list is
+    # built, and join once so no second copy of the text is made
+    for i, (wr, wi, vr, vi) in enumerate(zip(words[0], words[1], values[0], values[1])):
+        lines.append(f"{i} {wr:08x} {wi:08x} {float(vr)!r} {float(vi)!r}\n")
+    return "".join(lines)
 
 
 def parse_dump(text: str) -> StateVector:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = dict(part.split("=", 1) for part in lines[0].split())
-    n, arith = int(head["n"]), head["arith"]
+    """Inverse of format_dump; raises ValueError on a malformed dump.
+
+    Fixed dumps are read from the hex columns, float dumps from the float
+    columns.  Every index in 0..2^n-1 must appear exactly once.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    try:
+        head = dict(part.split("=", 1) for part in lines[0].split())
+        n, arith = int(head["n"]), head["arith"]
+    except (KeyError, ValueError):
+        raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {lines[0]!r}") from None
+    count = len(lines) - 1
+    if count.bit_length() - 1 != n or count != 1 << n:   # before allocating 2^n
+        raise ValueError(f"n={n} needs 2^{n} amplitude lines, got {count}")
     sv = StateVector(n, arith)
-    if len(lines) - 1 != len(sv):
-        raise ValueError(f"expected {len(sv)} amplitude lines, got {len(lines) - 1}")
-    for ln in lines[1:]:
-        idx_s, re_hex, im_hex, re_f, im_f = ln.split()
-        i = int(idx_s)
-        if arith == FIXED:
-            sv.raw_re[i] = fx.Fixed.from_hex(re_hex).raw
-            sv.raw_im[i] = fx.Fixed.from_hex(im_hex).raw
-        else:
-            sv.amps[i] = complex(float(re_f), float(im_f))
+    if arith == FIXED:   # hex storage words, written through an unsigned view
+        (c_re, c_im), conv, (re, im) = (1, 2), partial(int, base=16), sv.planes.view(np.uint32)
+    else:
+        (c_re, c_im), conv, (re, im) = (3, 4), float, sv.planes
+    seen = bytearray(count)
+    for lineno, ln in enumerate(lines[1:], start=2):
+        fields = ln.split()
+        if len(fields) != 5:
+            raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(fields)}")
+        i = int(fields[0])
+        if not 0 <= i < count or seen[i]:
+            raise ValueError(f"dump line {lineno}: index {i} out of range or repeated")
+        seen[i] = 1
+        try:
+            re[i] = conv(fields[c_re])
+            im[i] = conv(fields[c_im])
+        except OverflowError:
+            raise ValueError(f"dump line {lineno}: word out of 32-bit range") from None
     return sv

@@ -73,8 +73,9 @@ def to_fixed(x: float) -> Fixed:
     if not math.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     # x * 2^30 is exact in double precision, so round() performs true
-    # nearest-even rounding of the real product.
-    return Fixed(saturate(round(x * RAW_ONE)))
+    # nearest-even rounding of the real product.  Clamping to +-4 first
+    # keeps the product finite and saturates to the same word.
+    return Fixed(saturate(round(min(max(x, -4.0), 4.0) * RAW_ONE)))
 
 
 def to_float(a: Fixed) -> float:
@@ -125,11 +126,20 @@ def cmul(a: FixedComplex, b: FixedComplex) -> FixedComplex:
 # ---------------------------------------------------------------------------
 # Vectorized raw-word helpers for the state-vector kernels.
 #
-# These operate on int64 arrays of raw words.  Precondition for the
-# multiply helpers: one operand side must be a unitary gate entry
+# The rounding and saturation helpers operate on int64 arrays of wide
+# words.  The kernels multiply state words by unitary gate entries
 # (|raw| <= 2^30), which bounds each cross term by 2^61 and the two-term
 # sum by 2^62, safely inside int64.
 # ---------------------------------------------------------------------------
+
+def to_fixed_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized to_fixed: int32 raw words, nearest-even, saturated."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize non-finite values")
+    # same steps as to_fixed; np.rint is nearest-even
+    return np.clip(np.rint(np.clip(x, -4.0, 4.0) * RAW_ONE), RAW_MIN, RAW_MAX).astype(np.int32)
+
 
 def round_q60_array(wide: np.ndarray) -> np.ndarray:
     """Vectorized nearest-even rounding of Q4.60 words to Q2.30."""
@@ -141,15 +151,3 @@ def round_q60_array(wide: np.ndarray) -> np.ndarray:
 
 def saturate_array(raw: np.ndarray) -> np.ndarray:
     return np.clip(raw, RAW_MIN, RAW_MAX)
-
-
-def cmul_arrays(u: FixedComplex, re: np.ndarray, im: np.ndarray):
-    """(u) * (re + i*im) over int64 raw arrays; returns rounded raw pair."""
-    ur, ui = u.re.raw, u.im.raw
-    out_re = saturate_array(round_q60_array(ur * re - ui * im))
-    out_im = saturate_array(round_q60_array(ur * im + ui * re))
-    return out_re, out_im
-
-
-def cadd_arrays(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray, b_im: np.ndarray):
-    return saturate_array(a_re + b_re), saturate_array(a_im + b_im)

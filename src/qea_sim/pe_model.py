@@ -32,7 +32,6 @@ class PEConfig:
     freq_hz: float = 2.5e8
     cross_pe_penalty_cycles: int = 1
     per_gate_overhead_cycles: float = 0.0
-    dense_pair_cycles: int = 2   # SU cycles per dense amplitude pair
 
     def __post_init__(self) -> None:
         if self.num_pes < 1 or self.num_pes & (self.num_pes - 1):
@@ -43,8 +42,6 @@ class PEConfig:
             raise ValueError("freq_hz must be positive")
         if self.cross_pe_penalty_cycles < 0 or self.per_gate_overhead_cycles < 0:
             raise ValueError("cycle costs must be non-negative")
-        if self.dense_pair_cycles < 1:
-            raise ValueError("dense_pair_cycles must be >= 1")
 
     @property
     def total_sus(self) -> int:
@@ -107,12 +104,12 @@ def _ceil_div(a: int, b: int) -> int:
 
 def sparse_gate_cycles(n: int, cfg: PEConfig = PEConfig()) -> int:
     """One multiplier per amplitude: each SU retires two amplitudes per cycle."""
-    return _ceil_div(1 << n, 2 * cfg.total_sus) * max(1, cfg.dense_pair_cycles // 2)
+    return _ceil_div(1 << n, 2 * cfg.total_sus)
 
 
 def dense_gate_cycles(n: int, cfg: PEConfig = PEConfig()) -> int:
-    """One pair (two output amplitudes) per SU per dense_pair_cycles."""
-    return _ceil_div(1 << (n - 1), cfg.total_sus) * cfg.dense_pair_cycles
+    """One pair (two output amplitudes) per SU every two cycles."""
+    return _ceil_div(1 << (n - 1), cfg.total_sus) * 2
 
 
 def cx_gate_cycles(n: int, cfg: PEConfig = PEConfig()) -> int:
@@ -146,10 +143,6 @@ def estimate_cycles(tc: TranspiledCircuit, cfg: PEConfig = PEConfig()) -> CycleR
             rep.cross_pe_cycles += pairs * cfg.cross_pe_penalty_cycles
     rep.overhead_cycles = cfg.per_gate_overhead_cycles * rep.total_gates
     return rep
-
-
-def modeled_time(report: CycleReport) -> float:
-    return report.modeled_time_s
 
 
 def calibrate_overhead(tc: TranspiledCircuit, cfg: PEConfig, target_time_s: float) -> float:

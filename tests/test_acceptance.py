@@ -45,7 +45,7 @@ def test_3_qft_equal_superposition():
     for n in range(1, 13):
         tc = transpile(generate_qft(n))
         sv, _ = run_circuit(tc, StateVector.zero(n, FLOAT))
-        probs = np.abs(sv.amps) ** 2
+        probs = np.abs(sv.to_complex()) ** 2
         assert np.max(np.abs(probs - 2.0**-n)) <= 1e-10
     ok(3, "uniform |amp|^2 = 2^-n for n in [1,12] within 1e-10")
 
@@ -82,7 +82,7 @@ def test_4_oracle_equivalence():
         sv = StateVector.from_complex(psi0, FLOAT)
         run_circuit(tc, sv)
         want = oracles.circuit_matrix(n, tc.gates) @ psi0
-        assert np.max(np.abs(sv.amps - want)) <= 1e-10
+        assert np.max(np.abs(sv.to_complex() - want)) <= 1e-10
 
     for n in range(2, 7):
         psi = oracles.random_state(n, rng)
@@ -93,7 +93,7 @@ def test_4_oracle_equivalence():
                 sv = StateVector.from_complex(psi, FLOAT)
                 apply_cx(sv, control, target)
                 want = oracles.cx_matrix(n, control, target) @ psi
-                np.testing.assert_array_equal(sv.amps, want)
+                np.testing.assert_array_equal(sv.to_complex(), want)
     ok(4, "200 random circuits vs dense oracle (1e-10); CX bit-exact")
 
 

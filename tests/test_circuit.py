@@ -209,6 +209,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Gate(GateKind.RZ, (0,))
 
+    def test_non_finite_angle(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Gate(GateKind.RZ, (0,), bad)
+
     def test_circuit_bounds(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate(GateKind.H, (2,)),))

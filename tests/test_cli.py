@@ -37,7 +37,7 @@ class TestRun:
         assert code == 0
         state = parse_dump(out)
         assert state.n == 3
-        probs = np.abs(state.amps) ** 2
+        probs = np.abs(state.to_complex()) ** 2
         np.testing.assert_allclose(probs, 1 / 8, atol=1e-12)
 
     def test_parse_error_cites_line(self, tmp_path, capsys):
@@ -69,7 +69,7 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(src), "--arith", "float")
         assert code == 0
         state = parse_dump(out)
-        np.testing.assert_allclose(np.abs(state.amps) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(np.abs(state.to_complex()) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_json_circuit_file(self, tmp_path, capsys):
         src = tmp_path / "circ.json"
@@ -77,6 +77,17 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(src), "--arith", "float")
         assert code == 0
         assert parse_dump(out).n == 1
+
+    def test_transpiled_json_keeps_global_phase(self, tmp_path, capsys):
+        circ_path = tmp_path / "qft3.json"
+        code, out, err = run_cli(capsys, "run", "--generate", "qft:3", "--circuit-out", str(circ_path))
+        assert code == 0
+        phase = json.loads(circ_path.read_text())["global_phase"]
+        assert phase != 0
+        code, out2, err2 = run_cli(capsys, "run", str(circ_path))
+        assert code == 0
+        assert f"global_phase={phase:.12g}" in err2
+        assert out2 == out
 
 
 class TestBench:
@@ -167,3 +178,21 @@ class TestExitCodes:
         p = tmp_path / "c.qc"
         p.write_text("qubits 1\nh 0\n")
         assert run_cli(capsys, "run", str(p), "--generate", "qft:2")[0] != 0
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2},
+        {"gates": []},
+        {"n": "2", "gates": []},
+        {"n": 2, "gates": [{"qubits": [0]}]},
+        {"n": 2, "gates": [{"kind": "h", "qubits": [0.5]}]},
+        {"n": 2, "gates": [{"kind": "rz", "qubits": [0], "angle": "pi"}]},
+        {"n": 2, "gates": [{"kind": "h", "qubits": [5]}]},
+        {"n": 2, "gates": [], "global_phase": None},
+        [1, 2],
+    ])
+    def test_malformed_json_circuit(self, tmp_path, capsys, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", str(p))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err

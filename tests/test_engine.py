@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,26 +22,24 @@ def random_unitary_2x2(rng):
 
 
 def dense_app(u, target, arith=FLOAT):
-    if arith == FIXED:
-        ent = [fx.FixedComplex.from_complex(complex(z)) for z in u.reshape(4)]
-    else:
-        ent = [complex(z) for z in u.reshape(4)]
+    conv = (lambda x: fx.to_fixed(x).raw) if arith == FIXED else float
+    ent = [(conv(z.real), conv(z.imag)) for z in u.reshape(4)]
     return GateApplication(ent[0], ent[1], ent[2], ent[3], target, DENSE)
 
 
 class TestInitState:
     def test_one_qubit(self):
         sv = StateVector.zero(1)
-        np.testing.assert_array_equal(sv.amps, [1, 0])
+        np.testing.assert_array_equal(sv.to_complex(), [1, 0])
 
     def test_three_qubits(self):
         sv = StateVector.zero(3)
-        np.testing.assert_array_equal(sv.amps, [1, 0, 0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(sv.to_complex(), [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_fixed_variant_exact_one(self):
         sv = StateVector.zero(2, FIXED)
-        assert sv.raw_re[0] == 0x40000000
-        assert not sv.raw_re[1:].any() and not sv.raw_im.any()
+        assert sv.planes[0][0] == 0x40000000
+        assert not sv.planes[0][1:].any() and not sv.planes[1].any()
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -51,18 +50,17 @@ class TestApply1q:
     def test_hadamard_on_zero(self):
         sv = StateVector.zero(1)
         apply_1q(sv, make_application(Gate(GateKind.H, (0,)), FLOAT))
-        np.testing.assert_allclose(sv.amps, [1 / math.sqrt(2)] * 2, atol=1e-15)
+        np.testing.assert_allclose(sv.to_complex(), [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_rz_phases_on_basis_states(self):
         theta = 0.83
         for n, q, basis in [(3, 0, 5), (3, 2, 5), (4, 1, 9)]:
-            sv = StateVector(n)
-            sv.amps[basis] = 1.0
+            sv = StateVector.from_complex(np.eye(1 << n)[basis])
             apply_1q(sv, make_application(Gate(GateKind.RZ, (q,), theta), FLOAT))
             bit = (basis >> (n - 1 - q)) & 1
             want = np.exp(1j * theta / 2) if bit else np.exp(-1j * theta / 2)
-            assert sv.amps[basis] == pytest.approx(want, abs=1e-15)
-            assert np.count_nonzero(sv.amps) == 1
+            assert sv.to_complex()[basis] == pytest.approx(want, abs=1e-15)
+            assert np.count_nonzero(sv.to_complex()) == 1
 
     def test_random_gate_matches_kron_oracle(self):
         rng = np.random.default_rng(41)
@@ -71,7 +69,7 @@ class TestApply1q:
         sv = StateVector.from_complex(psi)
         apply_1q(sv, dense_app(u, 1))
         want = oracles.embed_1q(3, 1, u) @ psi
-        np.testing.assert_allclose(sv.amps, want, atol=1e-14)
+        np.testing.assert_allclose(sv.to_complex(), want, atol=1e-14)
 
     def test_fixed_random_gate_close_to_oracle(self):
         rng = np.random.default_rng(43)
@@ -97,7 +95,7 @@ class TestApply1q:
             sv = StateVector.from_complex(psi)
             apply_1q(sv, dense_app(u, target))
             want = oracles.embed_1q(n, target, u) @ psi
-            np.testing.assert_allclose(sv.amps, want, atol=1e-13)
+            np.testing.assert_allclose(sv.to_complex(), want, atol=1e-13)
 
     def test_sparse_dense_agreement_float(self):
         rng = np.random.default_rng(47)
@@ -107,8 +105,8 @@ class TestApply1q:
         b = StateVector.from_complex(psi)
         app = make_application(g, FLOAT)
         apply_1q(a, app)
-        apply_1q(b, GateApplication(app.u00, 0j, 0j, app.u11, 1, DENSE))
-        np.testing.assert_array_equal(a.amps, b.amps)
+        apply_1q(b, GateApplication(app.u00, (0.0, 0.0), (0.0, 0.0), app.u11, 1, DENSE))
+        np.testing.assert_array_equal(a.to_complex(), b.to_complex())
 
     def test_sparse_dense_agreement_fixed(self):
         rng = np.random.default_rng(53)
@@ -118,13 +116,13 @@ class TestApply1q:
         b = StateVector.from_complex(psi, FIXED)
         app = make_application(g, FIXED)
         apply_1q(a, app)
-        apply_1q(b, GateApplication(app.u00, fx.CZERO, fx.CZERO, app.u11, 0, DENSE))
-        np.testing.assert_array_equal(a.raw_re, b.raw_re)
-        np.testing.assert_array_equal(a.raw_im, b.raw_im)
+        apply_1q(b, GateApplication(app.u00, (0, 0), (0, 0), app.u11, 0, DENSE))
+        np.testing.assert_array_equal(a.planes[0], b.planes[0])
+        np.testing.assert_array_equal(a.planes[1], b.planes[1])
 
     def test_sparse_mode_rejects_offdiagonal(self):
         with pytest.raises(ValueError):
-            GateApplication(1 + 0j, 0.1 + 0j, 0j, 1 + 0j, 0, SPARSE)
+            GateApplication((1.0, 0.0), (0.1, 0.0), (0.0, 0.0), (1.0, 0.0), 0, SPARSE)
 
     def test_target_out_of_range(self):
         sv = StateVector.zero(2)
@@ -150,7 +148,7 @@ class TestFlagLoop:
             app = dense_app(u, target)
             apply_1q(a, app)
             apply_1q_flagloop(b, app)
-            np.testing.assert_array_equal(a.amps, b.amps)
+            np.testing.assert_array_equal(a.to_complex(), b.to_complex())
 
     def test_matches_pair_kernel_fixed(self):
         rng = np.random.default_rng(67)
@@ -162,8 +160,22 @@ class TestFlagLoop:
             app = dense_app(u, target, FIXED)
             apply_1q(a, app)
             apply_1q_flagloop(b, app)
-            np.testing.assert_array_equal(a.raw_re, b.raw_re)
-            np.testing.assert_array_equal(a.raw_im, b.raw_im)
+            np.testing.assert_array_equal(a.planes[0], b.planes[0])
+            np.testing.assert_array_equal(a.planes[1], b.planes[1])
+        # raw words spanning [RAW_MIN, RAW_MAX], half of them at the ends:
+        # products and sums saturate, and the flag loop checks the kernel's
+        # rounding and saturation against the scalar fx.cmul / fx.cadd
+        for n, target in [(3, 0), (4, 2), (5, 4)]:
+            words = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=(2, 1 << n))
+            ends = rng.random(words.shape) < 0.5
+            words[ends] = rng.choice([fx.RAW_MIN, fx.RAW_MAX], size=int(ends.sum()))
+            for app in (dense_app(random_unitary_2x2(rng), target, FIXED),
+                        make_application(Gate(GateKind.RZ, (target,), 2.1), FIXED)):
+                a, b = StateVector(n, FIXED), StateVector(n, FIXED)
+                a.planes[:] = b.planes[:] = words
+                apply_1q(a, app)
+                apply_1q_flagloop(b, app)
+                np.testing.assert_array_equal(a.planes, b.planes)
 
     def test_sparse_branch_matches(self):
         rng = np.random.default_rng(71)
@@ -173,21 +185,19 @@ class TestFlagLoop:
         b = StateVector.from_complex(psi)
         apply_1q(a, app)
         apply_1q_flagloop(b, app)
-        np.testing.assert_array_equal(a.amps, b.amps)
+        np.testing.assert_array_equal(a.to_complex(), b.to_complex())
 
 
 class TestApplyCx:
     def test_defining_action(self):
-        sv = StateVector.zero(2)
-        sv.amps[:] = [0, 0, 1, 0]          # |10>
+        sv = StateVector.from_complex([0, 0, 1, 0])          # |10>
         apply_cx(sv, 0, 1)
-        np.testing.assert_array_equal(sv.amps, [0, 0, 0, 1])   # |11>
+        np.testing.assert_array_equal(sv.to_complex(), [0, 0, 0, 1])   # |11>
 
     def test_control_not_set(self):
-        sv = StateVector.zero(2)
-        sv.amps[:] = [0, 1, 0, 0]          # |01>
+        sv = StateVector.from_complex([0, 1, 0, 0])          # |01>
         apply_cx(sv, 0, 1)
-        np.testing.assert_array_equal(sv.amps, [0, 1, 0, 0])
+        np.testing.assert_array_equal(sv.to_complex(), [0, 1, 0, 0])
 
     def test_all_pairs_match_permutation_oracle(self):
         rng = np.random.default_rng(73)
@@ -200,7 +210,7 @@ class TestApplyCx:
                     sv = StateVector.from_complex(psi)
                     apply_cx(sv, control, target)
                     want = oracles.cx_matrix(n, control, target) @ psi
-                    np.testing.assert_array_equal(sv.amps, want)
+                    np.testing.assert_array_equal(sv.to_complex(), want)
 
     def test_involution_bit_exact(self):
         rng = np.random.default_rng(79)
@@ -215,9 +225,9 @@ class TestApplyCx:
     def test_fixed_is_pure_permutation(self):
         rng = np.random.default_rng(83)
         sv = StateVector.from_complex(oracles.random_state(4, rng), FIXED)
-        words = sorted(zip(sv.raw_re.tolist(), sv.raw_im.tolist()))
+        words = sorted(zip(sv.planes[0].tolist(), sv.planes[1].tolist()))
         apply_cx(sv, 2, 0)
-        assert sorted(zip(sv.raw_re.tolist(), sv.raw_im.tolist())) == words
+        assert sorted(zip(sv.planes[0].tolist(), sv.planes[1].tolist())) == words
 
     def test_same_qubit_rejected(self):
         with pytest.raises(ValueError):
@@ -232,7 +242,7 @@ class TestRunCircuit:
     def test_empty_circuit(self):
         tc = transpile(Circuit(3, ()))
         sv, stats = run_circuit(tc, StateVector.zero(3))
-        np.testing.assert_array_equal(sv.amps, StateVector.zero(3).amps)
+        np.testing.assert_array_equal(sv.to_complex(), StateVector.zero(3).to_complex())
         assert stats.total_gates == 0
 
     def test_counts_by_class(self):
@@ -261,14 +271,14 @@ class TestRunCircuit:
                 sv = StateVector.from_complex(psi)
                 run_circuit(tc, sv)
                 want = oracles.circuit_matrix(n, tc.gates) @ psi
-                assert np.max(np.abs(sv.amps - want)) < 1e-10
+                assert np.max(np.abs(sv.to_complex() - want)) < 1e-10
 
     def test_qft_equal_superposition(self):
         for n in (1, 4, 8):
             tc = transpile(generate_qft(n))
             sv, _ = run_circuit(tc, StateVector.zero(n))
             # compensating the transpile phase leaves exactly 1/sqrt(N)
-            amps = np.exp(1j * tc.global_phase) * sv.amps
+            amps = np.exp(1j * tc.global_phase) * sv.to_complex()
             np.testing.assert_allclose(amps, np.full(1 << n, 1 / math.sqrt(1 << n)), atol=1e-12)
 
     def test_qft_matches_dft_matrix(self):
@@ -289,7 +299,7 @@ class TestRunCircuit:
         pb = StateVector.from_complex(phi)
         run_circuit(tc, pa)
         run_circuit(tc, pb)
-        np.testing.assert_allclose(mixed.amps, a * pa.amps + b * pb.amps, atol=1e-12)
+        np.testing.assert_allclose(mixed.to_complex(), a * pa.to_complex() + b * pb.to_complex(), atol=1e-12)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -301,19 +311,27 @@ class TestReferenceRun:
         tc = transpile(generate_qft(5))
         ref = reference_run(tc, StateVector.zero(5, FIXED))
         direct, _ = run_circuit(tc, StateVector.zero(5, FLOAT))
-        np.testing.assert_array_equal(ref.amps, direct.amps)
+        np.testing.assert_array_equal(ref.to_complex(), direct.to_complex())
 
     def test_qft8_amplitudes(self):
         tc = transpile(generate_qft(8))
         ref = reference_run(tc, StateVector.zero(8))
-        amps = np.exp(1j * tc.global_phase) * ref.amps
+        amps = np.exp(1j * tc.global_phase) * ref.to_complex()
         np.testing.assert_allclose(amps, np.full(256, 1 / 16), atol=1e-12)
 
     def test_input_not_mutated(self):
         tc = transpile(generate_qft(3))
         src = StateVector.zero(3, FIXED)
         reference_run(tc, src)
-        assert src.raw_re[0] == fx.RAW_ONE and not src.raw_re[1:].any()
+        assert src.planes[0][0] == fx.RAW_ONE and not src.planes[0][1:].any()
+
+
+# sha256 of the QFT(6) dumps, recorded from the complex128 / twin-int32
+# engine that preceded the planar layout
+QFT6_DUMP_SHA256 = {
+    FIXED: "f0e745af1afa0acaecb32fe83a4ff8d325600d62252f070601e1e4f94e2a9d47",
+    FLOAT: "35dba8c476c929444ef9f4c2bbd28b240d643dba9cac5de7346c6a856db7bf27",
+}
 
 
 class TestWorkers:
@@ -328,6 +346,7 @@ class TestWorkers:
                 base = dump
             else:
                 assert dump == base
+        assert hashlib.sha256(base.encode()).hexdigest() == QFT6_DUMP_SHA256[arith]
 
 
 class TestDumpFormat:
@@ -342,11 +361,23 @@ class TestDumpFormat:
         rng = np.random.default_rng(101)
         sv = StateVector.from_complex(oracles.random_state(3, rng), FIXED)
         back = parse_dump(format_dump(sv))
-        np.testing.assert_array_equal(back.raw_re, sv.raw_re)
-        np.testing.assert_array_equal(back.raw_im, sv.raw_im)
+        np.testing.assert_array_equal(back.planes[0], sv.planes[0])
+        np.testing.assert_array_equal(back.planes[1], sv.planes[1])
 
     def test_round_trip_float(self):
         rng = np.random.default_rng(103)
         sv = StateVector.from_complex(oracles.random_state(3, rng))
         back = parse_dump(format_dump(sv))
-        np.testing.assert_array_equal(back.amps, sv.amps)
+        np.testing.assert_array_equal(back.to_complex(), sv.to_complex())
+
+    def test_rejects_repeated_index(self):
+        lines = format_dump(StateVector.zero(2, FIXED)).splitlines()
+        lines[2] = "0" + lines[2][1:]      # index 1 relabelled 0
+        with pytest.raises(ValueError, match="repeated"):
+            parse_dump("\n".join(lines))
+
+    def test_rejects_missing_header_key(self):
+        lines = format_dump(StateVector.zero(2, FLOAT)).splitlines()
+        lines[0] = "n=2"
+        with pytest.raises(ValueError, match="header"):
+            parse_dump("\n".join(lines))

@@ -44,6 +44,11 @@ class TestToFixed:
     def test_saturates_low(self):
         assert fx.to_fixed(-3.5).raw == fx.RAW_MIN
 
+    def test_saturates_huge_finite(self):
+        # x * 2^30 overflows to inf here; the word still saturates
+        assert fx.to_fixed(1e300).raw == fx.RAW_MAX
+        assert fx.to_fixed(-1e300).raw == fx.RAW_MIN
+
     def test_non_finite_rejected(self):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -185,18 +190,13 @@ class TestArrayHelpers:
         for w, g in zip(wide[:200], got[:200]):
             assert int(g) == fx.round_q60(int(w))
 
-    def test_cmul_arrays_matches_scalar(self):
+    def test_to_fixed_array_matches_scalar(self):
         rng = np.random.default_rng(29)
-        u = fx.FixedComplex.from_complex(complex(0.3, -0.7))
-        re = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=256, dtype=np.int64)
-        im = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=256, dtype=np.int64)
-        out_re, out_im = fx.cmul_arrays(u, re, im)
-        for k in range(256):
-            ref = fx.cmul(u, fc(int(re[k]), int(im[k])))
-            assert int(out_re[k]) == ref.re.raw
-            assert int(out_im[k]) == ref.im.raw
-
-    def test_cadd_arrays_saturate(self):
-        a = np.array([fx.RAW_MAX, fx.RAW_MIN, 5], dtype=np.int64)
-        out_re, out_im = fx.cadd_arrays(a, a, a, a)
-        assert list(out_re) == [fx.RAW_MAX, fx.RAW_MIN, 10]
+        xs = np.concatenate([rng.uniform(-2.5, 2.5, size=2000),
+                             np.array([1.5, 2.5, -1.5, -2.5]) / fx.RAW_ONE,   # ties
+                             [1e300, -1e300, 2.0, -2.0, 0.0]])
+        got = fx.to_fixed_array(xs)
+        assert got.dtype == np.int32
+        assert got.tolist() == [fx.to_fixed(float(x)).raw for x in xs]
+        with pytest.raises(ValueError):
+            fx.to_fixed_array(np.array([0.5, math.nan]))

@@ -7,8 +7,7 @@ from qea_sim.pe_model import (CONTROLLER_BYTES, GATE_BYTES, CycleReport,
                               cx_gate_cycles, dense_gate_cycles,
                               estimate_cycles, estimate_memory_matmul,
                               estimate_memory_qea, memory_ratio,
-                              modeled_time, partition_state,
-                              sparse_gate_cycles)
+                              partition_state, sparse_gate_cycles)
 
 
 def tc_of(n, gates):
@@ -126,11 +125,11 @@ class TestCycleFormulas:
 class TestModeledTime:
     def test_one_second(self):
         rep = CycleReport(n=4, dense_cycles=int(2.5e8), freq_hz=2.5e8)
-        assert modeled_time(rep) == 1.0
+        assert rep.modeled_time_s == 1.0
 
     def test_empty_is_zero(self):
         rep = estimate_cycles(tc_of(4, []))
-        assert modeled_time(rep) == 0.0
+        assert rep.modeled_time_s == 0.0
 
     def test_qft17_within_10x_of_329ms(self):
         rep = estimate_cycles(transpile(generate_qft(17)))
