@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qea_sim import fixedpoint as fx
+from qea_sim.circuit import DENSE, SPARSE
+from qea_sim.engine import FIXED, GateApplication, StateVector, apply_1q
 
 
 def rne_exact(value: Fraction) -> int:
@@ -189,6 +191,33 @@ class TestArrayHelpers:
         got = fx.round_q60_array(wide)
         for w, g in zip(wide[:200], got[:200]):
             assert int(g) == fx.round_q60(int(w))
+
+    def test_cmul_arrays_matches_scalar(self):
+        # the array complex product lives in apply_1q's kernel: a diagonal
+        # gate multiplies every amplitude by one entry
+        rng = np.random.default_rng(29)
+        u = fx.FixedComplex.from_complex(complex(0.3, -0.7))
+        sv = StateVector(8, FIXED)
+        sv.planes[:] = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=(2, 256))
+        re, im = sv.planes.tolist()
+        pair = (u.re.raw, u.im.raw)
+        apply_1q(sv, GateApplication(pair, (0, 0), (0, 0), pair, 0, SPARSE))
+        for k in range(256):
+            ref = fx.cmul(u, fc(re[k], im[k]))
+            assert int(sv.planes[0, k]) == ref.re.raw
+            assert int(sv.planes[1, k]) == ref.im.raw
+
+    def test_cadd_arrays_saturate(self):
+        # the array complex sum lives in apply_1q's kernel: with every entry
+        # 1.0, both outputs of a pair are the saturated sum of its amplitudes
+        one = (fx.RAW_ONE, 0)
+        sv = StateVector(3, FIXED)
+        a = [fx.RAW_MAX, fx.RAW_MIN, 5, 0]
+        sv.planes[:, :4] = sv.planes[:, 4:] = a
+        apply_1q(sv, GateApplication(one, one, one, one, 0, DENSE))
+        expected = [fx.RAW_MAX, fx.RAW_MIN, 10, 0] * 2
+        assert sv.planes[0].tolist() == expected
+        assert sv.planes[1].tolist() == expected
 
     def test_to_fixed_array_matches_scalar(self):
         rng = np.random.default_rng(29)
