@@ -177,7 +177,7 @@ def transpile(c: Circuit | TranspiledCircuit) -> TranspiledCircuit:
 # '#' starts a comment; blank lines are ignored.
 # ---------------------------------------------------------------------------
 
-_ANGLED = {"rx": GateKind.RX, "ry": GateKind.RY, "rz": GateKind.RZ}
+_KINDS = {k.value: k for k in GateKind}
 
 
 def _parse_qubit(tok: str, n: int, lineno: int, col: int) -> int:
@@ -227,36 +227,20 @@ def parse_circuit(text: str) -> Circuit:
         if head == "qubits":
             raise CircuitParseError("duplicate 'qubits' header", lineno, cols[0])
 
-        args = toks[1:]
-        acols = cols[1:]
-        if head in ("h", "s"):
-            if len(args) != 1:
-                raise CircuitParseError(f"'{head}' takes 1 operand, got {len(args)}", lineno, cols[0])
-            gates.append(Gate(GateKind(head), (_parse_qubit(args[0], n, lineno, acols[0]),)))
-        elif head in _ANGLED:
-            if len(args) != 2:
-                raise CircuitParseError(f"'{head}' takes <angle> <qubit>, got {len(args)} token(s)", lineno, cols[0])
-            theta = _parse_angle(args[0], lineno, acols[0])
-            gates.append(Gate(_ANGLED[head], (_parse_qubit(args[1], n, lineno, acols[1]),), theta))
-        elif head in ("cx", "swap"):
-            if len(args) != 2:
-                raise CircuitParseError(f"'{head}' takes 2 operands, got {len(args)}", lineno, cols[0])
-            a = _parse_qubit(args[0], n, lineno, acols[0])
-            b = _parse_qubit(args[1], n, lineno, acols[1])
-            if a == b:
-                raise CircuitParseError(f"'{head}' operands must be distinct", lineno, acols[1])
-            gates.append(Gate(GateKind(head), (a, b)))
-        elif head == "cp":
-            if len(args) != 3:
-                raise CircuitParseError(f"'cp' takes <angle> <control> <target>, got {len(args)} token(s)", lineno, cols[0])
-            theta = _parse_angle(args[0], lineno, acols[0])
-            a = _parse_qubit(args[1], n, lineno, acols[1])
-            b = _parse_qubit(args[2], n, lineno, acols[2])
-            if a == b:
-                raise CircuitParseError("'cp' operands must be distinct", lineno, acols[2])
-            gates.append(Gate(GateKind.CP, (a, b), theta))
-        else:
+        kind = _KINDS.get(head)
+        if kind is None:
             raise CircuitParseError(f"unknown gate {head!r}", lineno, cols[0])
+        angled = kind in PARAMETERIZED
+        arity = 2 if kind in TWO_QUBIT else 1
+        if len(toks) != 1 + angled + arity:
+            usage = f"{'<angle> and ' if angled else ''}{arity} operand{'s' if arity > 1 else ''}"
+            raise CircuitParseError(f"'{head}' takes {usage}, got {len(toks) - 1} token(s)", lineno, cols[0])
+        theta = _parse_angle(toks[1], lineno, cols[1]) if angled else None
+        qubits = tuple(_parse_qubit(t, n, lineno, c) for t, c in zip(toks[1 + angled:], cols[1 + angled:]))
+        try:
+            gates.append(Gate(kind, qubits, theta))
+        except ValueError as exc:   # Gate owns the remaining rules
+            raise CircuitParseError(str(exc), lineno, cols[-1]) from None
 
     if n is None:
         raise CircuitParseError("missing 'qubits <n>' header")

@@ -184,11 +184,11 @@ def cmd_compare(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _pe_config(args)
-    circ = None
-    name = None
+    name, tc = None, None
     if args.generate or args.circuit:
         name, circ = _resolve_source(args)
-    gates = len(transpile(circ).gates) if circ is not None else 0
+        tc = transpile(circ)
+    gates = len(tc.gates) if tc is not None else 0
 
     rows = []
     for n in _parse_qubit_range(args.qubits):
@@ -202,8 +202,7 @@ def cmd_estimate(args) -> int:
               f"{row['ratio']:.2f}  {math.log10(row['ratio']):.3f}")
 
     out_lines = [json.dumps(row, sort_keys=True) for row in rows]
-    if circ is not None:
-        tc = transpile(circ)
+    if tc is not None:
         rep = pe_model.estimate_cycles(tc, cfg)
         print(f"{name}: total_cycles={rep.total_cycles:.0f} "
               f"(sparse={rep.sparse_cycles} dense={rep.dense_cycles} cx={rep.cx_cycles} "

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,8 @@ FIXED = "fixed"
 FLOAT = "float"
 
 WORKER_ENV = "QEA_SIM_THREADS"
+
+_PHYS_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def max_workers() -> int:
@@ -80,6 +82,10 @@ class StateVector:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         if arith not in _ARITH:
             raise ValueError(f"unknown arithmetic variant {arith!r}")
+        word = np.dtype(_ARITH[arith].dtype).itemsize
+        if n > (_PHYS_BYTES // (2 * word)).bit_length() - 1:   # n, not 2^n: n may be absurd
+            raise ValueError(f"{n} qubits need 2^{n + 1} words of {word} bytes, "
+                             f"more than the {_PHYS_BYTES} bytes of physical memory")
         self.n = n
         self.arith = arith
         self.planes = np.zeros((2, 1 << n), dtype=_ARITH[arith].dtype)
@@ -365,8 +371,9 @@ def format_dump(state: StateVector) -> str:
 def parse_dump(text: str) -> StateVector:
     """Inverse of format_dump; raises ValueError on a malformed dump.
 
-    Fixed dumps are read from the hex columns, float dumps from the float
-    columns.  Every index in 0..2^n-1 must appear exactly once.
+    Every index in 0..2^n-1 must appear exactly once, every field must
+    parse, and the hex columns must be the Q2.30 quantization of the float
+    columns, the rule format_dump writes them by for both arithmetics.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
     try:
@@ -378,22 +385,28 @@ def parse_dump(text: str) -> StateVector:
     if count.bit_length() - 1 != n or count != 1 << n:   # before allocating 2^n
         raise ValueError(f"n={n} needs 2^{n} amplitude lines, got {count}")
     sv = StateVector(n, arith)
-    if arith == FIXED:   # hex storage words, written through an unsigned view
-        (c_re, c_im), conv, (re, im) = (1, 2), partial(int, base=16), sv.planes.view(np.uint32)
-    else:
-        (c_re, c_im), conv, (re, im) = (3, 4), float, sv.planes
+    words = array("I", bytes(8 * count))     # uint32 re words, then im words
+    values = array("d", bytes(16 * count))   # float64 re values, then im values
     seen = bytearray(count)
     for lineno, ln in enumerate(lines[1:], start=2):
         fields = ln.split()
         if len(fields) != 5:
             raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(fields)}")
-        i = int(fields[0])
-        if not 0 <= i < count or seen[i]:
-            raise ValueError(f"dump line {lineno}: index {i} out of range or repeated")
-        seen[i] = 1
         try:
-            re[i] = conv(fields[c_re])
-            im[i] = conv(fields[c_im])
-        except OverflowError:
-            raise ValueError(f"dump line {lineno}: word out of 32-bit range") from None
+            i = int(fields[0])
+            if 0 <= i < count and not seen[i]:
+                seen[i] = 1
+                words[i], words[count + i] = int(fields[1], 16), int(fields[2], 16)
+                values[i], values[count + i] = float(fields[3]), float(fields[4])
+                continue
+        except (ValueError, OverflowError):
+            raise ValueError(f"dump line {lineno}: unreadable field in {ln.strip()!r}") from None
+        raise ValueError(f"dump line {lineno}: index {i} out of range or repeated")
+    del lines   # free them first: they outweigh the arrays below
+    words = np.frombuffer(words, dtype=np.uint32).reshape(2, count)
+    values = np.frombuffer(values).reshape(2, count)
+    bad = np.flatnonzero((fx.to_fixed_array(values).view(np.uint32) != words).any(axis=0))
+    if bad.size:
+        raise ValueError(f"dump index {bad[0]}: hex columns are not the quantized float columns")
+    sv.planes[:] = _ARITH[arith].quantize(values)
     return sv

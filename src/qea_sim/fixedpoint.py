@@ -143,10 +143,9 @@ def to_fixed_array(x: np.ndarray) -> np.ndarray:
 
 def round_q60_array(wide: np.ndarray) -> np.ndarray:
     """Vectorized nearest-even rounding of Q4.60 words to Q2.30."""
-    q = wide >> FRAC_BITS
-    r = wide & _FRAC_MASK
-    bump = (r > _HALF) | ((r == _HALF) & ((q & 1) == 1))
-    return q + bump
+    # adding half minus one, plus one more when the kept part is odd, carries
+    # into the kept bits exactly when round_q60 rounds up
+    return (wide + (_HALF - 1) + ((wide >> FRAC_BITS) & 1)) >> FRAC_BITS
 
 
 def saturate_array(raw: np.ndarray) -> np.ndarray:

@@ -31,8 +31,10 @@ class TestParser:
         assert [g.angle for g in c.gates] == [0.5, -0.25, 0.03]
 
     def test_duplicate_operand(self):
-        with pytest.raises(CircuitParseError, match="distinct"):
-            parse_circuit("qubits 2\ncx 0 0\n")
+        for line in ("cx 0 0", "cp 0.5 1 1", "swap 1 1"):
+            with pytest.raises(CircuitParseError, match="distinct") as info:
+                parse_circuit(f"qubits 2\nh 0\n{line}\n")
+            assert info.value.line == 3
 
     def test_unknown_gate(self):
         with pytest.raises(CircuitParseError, match="unknown gate 't'"):
@@ -47,8 +49,9 @@ class TestParser:
             parse_circuit("qubits 2\nh 0 1\n")
 
     def test_missing_angle(self):
-        with pytest.raises(CircuitParseError, match="rz"):
-            parse_circuit("qubits 1\nrz 0\n")
+        for line, gate in (("rz 0", "'rz' takes"), ("rx 0", "'rx' takes"), ("cp 0.5 0", "'cp' takes")):
+            with pytest.raises(CircuitParseError, match=gate):
+                parse_circuit(f"qubits 2\n{line}\n")
 
     def test_invalid_angle(self):
         with pytest.raises(CircuitParseError, match="invalid angle"):

@@ -179,6 +179,11 @@ class TestExitCodes:
         p.write_text("qubits 1\nh 0\n")
         assert run_cli(capsys, "run", str(p), "--generate", "qft:2")[0] != 0
 
+    def test_oversized_state(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--generate", "qft:40")
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("doc", [
         {"n": 2},
         {"gates": []},

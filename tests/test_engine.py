@@ -44,6 +44,8 @@ class TestInitState:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             StateVector.zero(0)
+        with pytest.raises(ValueError, match="physical memory"):
+            StateVector(40, FIXED)      # 8 TiB of planes; refused before allocating
 
 
 class TestApply1q:
@@ -380,4 +382,16 @@ class TestDumpFormat:
         lines = format_dump(StateVector.zero(2, FLOAT)).splitlines()
         lines[0] = "n=2"
         with pytest.raises(ValueError, match="header"):
+            parse_dump("\n".join(lines))
+
+    @pytest.mark.parametrize("arith,line,match", [
+        (FLOAT, "0 zzzzzzzz 00000000 1.0 0.0", "line 2: unreadable"),        # bad hex
+        (FIXED, "0 40000000 00000000 nonsense 0.0", "line 2: unreadable"),   # bad float
+        (FIXED, "0 40000000 00000000 0.5 0.0", "index 0: hex"),              # columns disagree
+        (FLOAT, "0 40000000 00000000 nan 0.0", "non-finite"),
+    ])
+    def test_rejects_bad_columns(self, arith, line, match):
+        lines = format_dump(StateVector.zero(1, arith)).splitlines()
+        lines[1] = line
+        with pytest.raises(ValueError, match=match):
             parse_dump("\n".join(lines))

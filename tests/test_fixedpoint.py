@@ -188,9 +188,13 @@ class TestArrayHelpers:
     def test_rounding_matches_scalar(self):
         rng = np.random.default_rng(23)
         wide = rng.integers(-(2**61), 2**61, size=4000, dtype=np.int64)
+        # exact ties q*2^30 + 2^29 for even and odd, positive and negative q,
+        # and their +-1 neighbours
+        q = np.concatenate([np.arange(-4, 4), rng.integers(-(2**31), 2**31, size=500)])
+        ties = q * 2**30 + 2**29
+        wide = np.concatenate([wide, ties - 1, ties, ties + 1])
         got = fx.round_q60_array(wide)
-        for w, g in zip(wide[:200], got[:200]):
-            assert int(g) == fx.round_q60(int(w))
+        assert got.tolist() == [fx.round_q60(w) for w in wide.tolist()]
 
     def test_cmul_arrays_matches_scalar(self):
         # the array complex product lives in apply_1q's kernel: a diagonal
