@@ -208,7 +208,11 @@ def parse_circuit(text: str) -> Circuit:
         toks = line.split()
         if not toks:
             continue
-        cols = [line.index(t) + 1 for t in toks]  # best-effort column hints
+        cols, end = [], 0
+        for t in toks:   # each token's own column, repeated tokens included
+            end = line.index(t, end)
+            cols.append(end + 1)
+            end += len(t)
         head = toks[0].lower()
 
         if n is None:

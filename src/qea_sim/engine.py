@@ -17,6 +17,7 @@ space can be sharded across workers with bit-identical results.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -44,11 +45,15 @@ def max_workers() -> int:
         return 1
 
 
-def _round_sat(wide: np.ndarray) -> np.ndarray:
-    return fx.saturate_array(fx.round_q60_array(wide))
+def _round_sat(wide: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return fx.saturate_array(fx.round_q60_array(wide, out=out), out=out)
 
 
-def _same(x):
+def _saturate(wide: np.ndarray) -> np.ndarray:
+    return fx.saturate_array(wide, out=wide)
+
+
+def _same(x, out=None):
     return x
 
 
@@ -61,13 +66,13 @@ class _Arith:
     quantize: Callable          # float64 array -> storage words
     scalar: Callable            # float -> storage scalar, for gate entries
     wide: type                  # kernel intermediate
-    narrow_mul: Callable        # applied after each complex-product component
-    narrow_add: Callable        # applied after each sum of two products
+    narrow_mul: Callable        # (products, scratch) -> narrowed products, after each product
+    narrow_add: Callable        # in place, after each sum of two products
 
 
 _ARITH = {
     FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, lambda x: fx.to_fixed(x).raw,
-                  np.int64, _round_sat, fx.saturate_array),
+                  np.int64, _round_sat, _saturate),
     FLOAT: _Arith(np.float64, 1.0, _same, float, np.float64, _same, _same),
 }
 
@@ -154,60 +159,99 @@ def make_application(gate: Gate, arith: str) -> GateApplication:
     return GateApplication(*ent, gate.qubits[0], mode)
 
 
-def _chunks(total: int, workers: int):
-    """Split range(total) into <= workers contiguous slices."""
-    workers = max(1, min(workers, total)) if total else 1
-    step = -(-total // workers)
-    return [slice(i, min(i + step, total)) for i in range(0, total, step)]
+# Pairs per kernel tile.  apply_1q's two product buffers take 64 bytes per
+# pair each for a dense gate (8-byte words, 2 products x 2 halves x 2
+# planes), 1 MiB together at 2^13 pairs, which stays in a 2 MiB L2.  On a
+# 2-vCPU Xeon with 2 MiB of L2 per core (sizes timed in turn in one warm
+# process, n=16-17), 2^14 pairs ran the dense kernels 1.4-3.6x slower than
+# 2^13, and 2^12 ran most kernels 1.1-1.3x slower.
+_TILE = 1 << 13
+
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
 
-def _run_sharded(kernel, nblocks: int, workers: int) -> None:
-    parts = _chunks(nblocks, workers)
-    if len(parts) == 1:
-        kernel(parts[0])
+def _run_parts(fn, total: int, workers: int) -> None:
+    """Run fn over range(total) split into <= workers contiguous ranges.
+
+    One part runs inline.  More run on one thread pool shared by all gates,
+    created on first use and replaced by a larger one when more workers are
+    asked for; a replaced pool's threads exit once it is unreferenced.
+    """
+    global _pool, _pool_size
+    workers = min(workers, total)
+    if workers <= 1:
+        fn(range(total))
         return
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        list(pool.map(kernel, parts))
+    step = -(-total // workers)
+    parts = [range(i, min(i + step, total)) for i in range(0, total, step)]
+    with _pool_lock:
+        if _pool_size < len(parts):
+            _pool = ThreadPoolExecutor(max_workers=len(parts), thread_name_prefix="qea-sim")
+            _pool_size = len(parts)
+        pool = _pool
+    for _ in pool.map(fn, parts):   # reading every result re-raises a part's error
+        pass
 
 
 def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> StateVector:
     """In-place single-qubit update at stride 2^(n-target-1).
 
-    Complex arithmetic is decomposed into separately rounded real ufuncs:
-    numpy's fused complex multiply may contract with FMA, which would break
-    bit-identity with the scalar flag-loop kernel.  Each output component
-    is one expression: that fixes the float operation order, and each
-    product is freed as soon as it has been summed.  The inputs are
-    widened copies (int64 for fixed), so outputs can be written at once.
+    The pair space is cut into tiles of _TILE pairs, the unit of work and
+    of sharding.  Every product of a tile lands, widened (int64 for fixed),
+    in buffers the kernel owns before any output is written, and the
+    narrow steps run in place on them.  One pass covers both planes and
+    both halves of a tile: u*x = ur*x + (-ui, +ui)*x[::-1] per half.
+    Complex arithmetic stays in separately rounded real ufuncs, which never
+    fuse a multiply and an add: numpy's complex multiply may contract with
+    FMA, which would break bit-identity with the scalar flag-loop kernel.
+    (-ui)*xi is exactly -(ui*xi) and a + (-b) is exactly a - b in IEEE-754,
+    so the float kernel computes ur*xr - ui*xi, ur*xi + ui*xr bit for bit.
     """
     n = state.n
     if not 0 <= app.target < n:
         raise ValueError(f"target {app.target} out of range for n={n}")
     stride = 1 << (n - app.target - 1)
     nblocks = 1 << app.target
-    re, im = state.planes.reshape(2, nblocks, 2, stride)
+    tile = min(_TILE, nblocks * stride)
+    v = state.planes.reshape(2, nblocks, 2, stride)
+    if stride >= tile:   # a tile is part of one block's offset range
+        per_block = stride // tile
+        group, width = 1, tile
+
+        def view(k):
+            b, o = divmod(k, per_block)
+            return v[:, b:b + 1, :, o * tile:(o + 1) * tile]
+    else:                # a tile is a group of whole blocks
+        group, width = tile // stride, stride
+
+        def view(k):
+            return v[:, k * group:(k + 1) * group]
+
     arith = _ARITH[state.arith]
     wide, mul, add = arith.wide, arith.narrow_mul, arith.narrow_add
+    # entries by (input half, output half); a sparse output half reads only its own
+    sparse = app.mode == SPARSE
+    ent = (app.u00, app.u11) if sparse else (app.u00, app.u10, app.u01, app.u11)
+    terms = len(ent) // 2
+    ur = np.array([r for r, _ in ent], wide).reshape(terms, 2, 1, 1, 1)
+    sgn = np.array([s for _, i in ent for s in (-i, i)], wide).reshape(terms, 2, 2, 1, 1)
 
-    if app.mode == SPARSE:
-        def kernel(sl):
-            for half, (ur, ui) in ((0, app.u00), (1, app.u11)):
-                xr = re[sl, half].astype(wide)
-                xi = im[sl, half].astype(wide)
-                re[sl, half] = mul(ur * xr - ui * xi)
-                im[sl, half] = mul(ur * xi + ui * xr)
-    else:
-        def kernel(sl):
-            lr = re[sl, 0].astype(wide)
-            li = im[sl, 0].astype(wide)
-            hr = re[sl, 1].astype(wide)
-            hi = im[sl, 1].astype(wide)
-            # one SU op per output amplitude: two multiplies, one add
-            for half, (ar, ai), (br, bi) in ((0, app.u00, app.u01), (1, app.u10, app.u11)):
-                re[sl, half] = add(mul(ar * lr - ai * li) + mul(br * hr - bi * hi))
-                im[sl, half] = add(mul(ar * li + ai * lr) + mul(br * hi + bi * hr))
+    def part(tiles):
+        prod = np.empty((terms, 2, 2, group, width), wide)
+        tmp = np.empty_like(prod)
+        for k in tiles:
+            x = view(k).transpose(2, 0, 1, 3)   # (half, plane, block, offset)
+            xs = x[None] if sparse else x[:, None]
+            np.multiply(xs, ur, out=prod)
+            np.multiply(xs[:, :, ::-1], sgn, out=tmp)
+            out = mul(np.add(prod, tmp, out=prod), tmp)
+            if not sparse:   # one SU op per output amplitude: two multiplies, one add
+                add(np.add(out[0], out[1], out=out[0]))
+            x[...] = out[0]
 
-    _run_sharded(kernel, nblocks, workers)
+    _run_parts(part, nblocks * stride // tile, workers)
     return state
 
 
@@ -233,14 +277,16 @@ def apply_cx(state: StateVector, control: int, target: int, workers: int = 1) ->
     else:         # control is the low bit: swap hi 0 <-> hi 1 where lo = 1
         a_idx, b_idx = (0, slice(None), 1), (1, slice(None), 1)
 
-    def kernel(sl):
+    def kernel(blocks):
+        sl = slice(blocks.start, blocks.stop)
         a = (slice(None), sl) + a_idx
         b = (slice(None), sl) + b_idx
         tmp = v[a].copy()
         v[a] = v[b]
         v[b] = tmp
 
-    _run_sharded(kernel, pre, workers)
+    # at most one part per apply_1q tile: no part has less than a tile's work
+    _run_parts(kernel, pre, min(workers, (1 << (n - 1)) // _TILE))
     return state
 
 
@@ -357,15 +403,19 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
 # Hex columns are the Q2.30 storage words (quantized for the float variant).
 # ---------------------------------------------------------------------------
 
+_DUMP_SLICE = 1 << 14   # amplitudes per .tolist() slice: bounds the Python lists
+
+
 def format_dump(state: StateVector) -> str:
     values = state._values()
     words = fx.to_fixed_array(values).view(np.uint32)
+    line = "{} {:08x} {:08x} {!r} {!r}\n".format
     lines = [f"n={state.n} arith={state.arith}\n"]
-    # iterate the arrays (not .tolist()) so no whole-state Python list is
-    # built, and join once so no second copy of the text is made
-    for i, (wr, wi, vr, vi) in enumerate(zip(words[0], words[1], values[0], values[1])):
-        lines.append(f"{i} {wr:08x} {wi:08x} {float(vr)!r} {float(vi)!r}\n")
-    return "".join(lines)
+    for lo in range(0, len(state), _DUMP_SLICE):
+        sl = slice(lo, lo + _DUMP_SLICE)
+        lines += map(line, range(lo, lo + _DUMP_SLICE), words[0, sl].tolist(), words[1, sl].tolist(),
+                     values[0, sl].tolist(), values[1, sl].tolist())
+    return "".join(lines)   # one join: no second copy of the text
 
 
 def parse_dump(text: str) -> StateVector:

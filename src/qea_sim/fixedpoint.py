@@ -141,12 +141,27 @@ def to_fixed_array(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.clip(x, -4.0, 4.0) * RAW_ONE), RAW_MIN, RAW_MAX).astype(np.int32)
 
 
-def round_q60_array(wide: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-even rounding of Q4.60 words to Q2.30."""
+def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized nearest-even rounding of Q4.60 words to Q2.30.
+
+    ``out`` is either ``wide`` itself (rounding in place) or an array that
+    does not overlap it; only the first allocates a temporary.
+    """
     # adding half minus one, plus one more when the kept part is odd, carries
     # into the kept bits exactly when round_q60 rounds up
-    return (wide + (_HALF - 1) + ((wide >> FRAC_BITS) & 1)) >> FRAC_BITS
+    if out is wide:
+        carry = wide >> FRAC_BITS
+    else:
+        carry = out = np.right_shift(wide, FRAC_BITS, out=out)
+    carry &= 1
+    carry += _HALF - 1
+    out = np.add(wide, carry, out=out)
+    out >>= FRAC_BITS
+    return out
 
 
-def saturate_array(raw: np.ndarray) -> np.ndarray:
-    return np.clip(raw, RAW_MIN, RAW_MAX)
+def saturate_array(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp wide words to [RAW_MIN, RAW_MAX]; ``out`` may be ``raw`` itself."""
+    # two ufuncs, not np.clip, whose Python wrapper costs more than both
+    out = np.minimum(raw, RAW_MAX, out=out)
+    return np.maximum(out, RAW_MIN, out=out)

@@ -31,10 +31,12 @@ class TestParser:
         assert [g.angle for g in c.gates] == [0.5, -0.25, 0.03]
 
     def test_duplicate_operand(self):
-        for line in ("cx 0 0", "cp 0.5 1 1", "swap 1 1"):
+        # the column is the repeated operand's own, not its first occurrence's
+        for line, col in (("cx 0 0", 6), ("cp 0.5 1 1", 10), ("swap 1 1", 8)):
             with pytest.raises(CircuitParseError, match="distinct") as info:
                 parse_circuit(f"qubits 2\nh 0\n{line}\n")
             assert info.value.line == 3
+            assert info.value.column == col
 
     def test_unknown_gate(self):
         with pytest.raises(CircuitParseError, match="unknown gate 't'"):

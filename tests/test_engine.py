@@ -1,12 +1,18 @@
 import hashlib
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from qea_sim import engine
 from qea_sim import fixedpoint as fx
-from qea_sim.circuit import DENSE, SPARSE, Circuit, Gate, GateKind, transpile
+from qea_sim.circuit import DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, transpile
 from qea_sim.engine import (FIXED, FLOAT, GateApplication, StateVector,
                             apply_1q, apply_1q_flagloop, apply_cx,
                             format_dump, make_application, parse_dump,
@@ -190,6 +196,41 @@ class TestFlagLoop:
         np.testing.assert_array_equal(a.to_complex(), b.to_complex())
 
 
+class TestFlagLoopSmallTiles(TestFlagLoop):
+    """TestFlagLoop with 4-pair tiles, so its small states reach both tile
+    shapes (part of one block's offsets, and groups of whole blocks)."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(engine, "_TILE", 4)
+
+
+_1Q_KINDS = [GateKind.H, GateKind.S, GateKind.RX, GateKind.RY, GateKind.RZ]
+# full-range raw words, about half of them at RAW_MIN / RAW_MAX
+_WORDS = st.one_of(st.sampled_from([fx.RAW_MIN, fx.RAW_MAX]), st.integers(fx.RAW_MIN, fx.RAW_MAX))
+# values with both signed zeros, which pin the kernel's (-ui)*x == -(ui*x)
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+class TestKernelProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           kind=st.sampled_from(_1Q_KINDS), angle=st.floats(-7.0, 7.0),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_kernel_matches_flagloop(self, data, n, arith, kind, angle, tile, workers):
+        target = data.draw(st.integers(0, n - 1))
+        words = data.draw(st.lists(_WORDS if arith == FIXED else _VALUES,
+                                   min_size=2 << n, max_size=2 << n))
+        gate = Gate(kind, (target,), angle if kind in PARAMETERIZED else None)
+        app = make_application(gate, arith)
+        a, b = StateVector(n, arith), StateVector(n, arith)
+        a.planes[:] = b.planes[:] = np.reshape(words, (2, 1 << n))
+        with mock.patch.object(engine, "_TILE", tile):
+            apply_1q(a, app, workers)
+        apply_1q_flagloop(b, app)
+        assert a.planes.tobytes() == b.planes.tobytes()   # bits, signed zeros included
+
+
 class TestApplyCx:
     def test_defining_action(self):
         sv = StateVector.from_complex([0, 0, 1, 0])          # |10>
@@ -349,6 +390,42 @@ class TestWorkers:
             else:
                 assert dump == base
         assert hashlib.sha256(base.encode()).hexdigest() == QFT6_DUMP_SHA256[arith]
+
+
+class TestWorkersSmallTiles(TestWorkers):
+    """TestWorkers with 4-pair tiles: QFT(6) has 8 tiles, one shard per worker."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(engine, "_TILE", 4)
+
+    def test_concurrent_callers_share_one_pool(self):
+        # callers on several threads shard their gates over the shared pool,
+        # which is replaced by a larger one while the others still use it
+        tc = transpile(generate_qft(6))
+        counts = (2, 3, 5, 8)
+        digests = {}
+
+        def run(workers):
+            for arith in (FLOAT, FIXED):
+                sv, _ = run_circuit(tc, StateVector.zero(6, arith), workers)
+                digests[workers, arith] = hashlib.sha256(format_dump(sv).encode()).hexdigest()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(w,)) for w in counts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert digests == {(w, a): QFT6_DUMP_SHA256[a] for w in counts for a in (FLOAT, FIXED)}
+        pool = engine._pool
+        run_circuit(tc, StateVector.zero(6, FIXED), 2)
+        assert engine._pool is pool   # one pool across gates and runs, not one per gate
 
 
 class TestDumpFormat:

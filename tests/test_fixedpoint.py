@@ -195,6 +195,10 @@ class TestArrayHelpers:
         wide = np.concatenate([wide, ties - 1, ties, ties + 1])
         got = fx.round_q60_array(wide)
         assert got.tolist() == [fx.round_q60(w) for w in wide.tolist()]
+        # the same words rounded in place, the output aliasing the input
+        inplace = wide.copy()
+        assert fx.round_q60_array(inplace, out=inplace) is inplace
+        assert inplace.tolist() == got.tolist()
 
     def test_cmul_arrays_matches_scalar(self):
         # the array complex product lives in apply_1q's kernel: a diagonal
