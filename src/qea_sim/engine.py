@@ -45,15 +45,20 @@ def max_workers() -> int:
         return 1
 
 
-def _round_sat(wide: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return fx.saturate_array(fx.round_q60_array(wide, out=out), out=out)
+def _fixed_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # one rounding of the exact two-term sum, then saturation; b is scratch
+    return fx.saturate_array(fx.round_q60_array(np.add(a, b, out=a), out=b), out=out)
 
 
-def _saturate(wide: np.ndarray) -> np.ndarray:
-    return fx.saturate_array(wide, out=wide)
+def _fixed_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return fx.saturate_array(np.add(a, b, out=a), out=out)
 
 
-def _same(x, out=None):
+def _float_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.add(a, b, out=out)
+
+
+def _same(x):
     return x
 
 
@@ -66,14 +71,14 @@ class _Arith:
     quantize: Callable          # float64 array -> storage words
     scalar: Callable            # float -> storage scalar, for gate entries
     wide: type                  # kernel intermediate
-    narrow_mul: Callable        # (products, scratch) -> narrowed products, after each product
-    narrow_add: Callable        # in place, after each sum of two products
+    narrow_product: Callable    # (a, b, out): out = narrowed a + b, the two terms of a product
+    narrow_sum: Callable        # (a, b, out): out = narrowed a + b, two narrowed products
 
 
 _ARITH = {
     FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, lambda x: fx.to_fixed(x).raw,
-                  np.int64, _round_sat, _saturate),
-    FLOAT: _Arith(np.float64, 1.0, _same, float, np.float64, _same, _same),
+                  np.int64, _fixed_product, _fixed_sum),
+    FLOAT: _Arith(np.float64, 1.0, _same, float, np.float64, _float_add, _float_add),
 }
 
 
@@ -159,12 +164,13 @@ def make_application(gate: Gate, arith: str) -> GateApplication:
     return GateApplication(*ent, gate.qubits[0], mode)
 
 
-# Pairs per kernel tile.  apply_1q's two product buffers take 64 bytes per
-# pair each for a dense gate (8-byte words, 2 products x 2 halves x 2
-# planes), 1 MiB together at 2^13 pairs, which stays in a 2 MiB L2.  On a
-# 2-vCPU Xeon with 2 MiB of L2 per core (sizes timed in turn in one warm
-# process, n=16-17), 2^14 pairs ran the dense kernels 1.4-3.6x slower than
-# 2^13, and 2^12 ran most kernels 1.1-1.3x slower.
+# Pairs per kernel tile.  apply_1q's buffers take 160 bytes per pair for a
+# dense gate (8-byte words: the widened tile, 2 halves x 2 planes, and two
+# product buffers of 2 products x 2 halves x 2 planes), 1.25 MiB at 2^13
+# pairs, within a 2 MiB L2.  On a 2-vCPU Xeon with 2 MiB of L2 per core
+# (sizes timed in turn in one warm process, n=16-17), 2^14 pairs ran the
+# kernels up to 1.7x slower than 2^13; 2^12 was within 25% either way,
+# faster on float dense gates and slower on fixed sparse ones.
 _TILE = 1 << 13
 
 _pool: ThreadPoolExecutor | None = None
@@ -199,10 +205,12 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
     """In-place single-qubit update at stride 2^(n-target-1).
 
     The pair space is cut into tiles of _TILE pairs, the unit of work and
-    of sharding.  Every product of a tile lands, widened (int64 for fixed),
-    in buffers the kernel owns before any output is written, and the
-    narrow steps run in place on them.  One pass covers both planes and
-    both halves of a tile: u*x = ur*x + (-ui, +ui)*x[::-1] per half.
+    of sharding.  Each tile is copied, widened (int64 for fixed), into a
+    buffer the kernel owns, and every product of the tile lands in two
+    more before any output is written.  One pass covers both planes and
+    both halves of a tile: u*x = ur*x + (-ui, +ui)*x[::-1] per half.  The
+    narrow steps run in place on the buffers; the last one writes the
+    tile's outputs.
     Complex arithmetic stays in separately rounded real ufuncs, which never
     fuse a multiply and an add: numpy's complex multiply may contract with
     FMA, which would break bit-identity with the scalar flag-loop kernel.
@@ -218,19 +226,24 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
     v = state.planes.reshape(2, nblocks, 2, stride)
     if stride >= tile:   # a tile is part of one block's offset range
         per_block = stride // tile
-        group, width = 1, tile
+        inner = (1, tile)
 
         def view(k):
             b, o = divmod(k, per_block)
-            return v[:, b:b + 1, :, o * tile:(o + 1) * tile]
+            return v[:, b:b + 1, :, o * tile:(o + 1) * tile].transpose(2, 0, 1, 3)
     else:                # a tile is a group of whole blocks
-        group, width = tile // stride, stride
+        group = tile // stride
+        # offsets innermost, unless a block holds so few that a strided walk
+        # over the blocks is cheaper than numpy's inner loops of length stride
+        swap = stride <= 4
+        inner = (stride, group) if swap else (group, stride)
 
         def view(k):
-            return v[:, k * group:(k + 1) * group]
+            x = v[:, k * group:(k + 1) * group].transpose(2, 0, 1, 3)
+            return x.swapaxes(2, 3) if swap else x
 
     arith = _ARITH[state.arith]
-    wide, mul, add = arith.wide, arith.narrow_mul, arith.narrow_add
+    wide, product, total = arith.wide, arith.narrow_product, arith.narrow_sum
     # entries by (input half, output half); a sparse output half reads only its own
     sparse = app.mode == SPARSE
     ent = (app.u00, app.u11) if sparse else (app.u00, app.u10, app.u01, app.u11)
@@ -238,18 +251,27 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
     ur = np.array([r for r, _ in ent], wide).reshape(terms, 2, 1, 1, 1)
     sgn = np.array([s for _, i in ent for s in (-i, i)], wide).reshape(terms, 2, 2, 1, 1)
 
+    # int32 words widen faster in one copy than inside each multiply; float
+    # words are multiplied where they lie
+    widen = arith.dtype is not wide
+
     def part(tiles):
-        prod = np.empty((terms, 2, 2, group, width), wide)
+        prod = np.empty((terms, 2, 2) + inner, wide)
         tmp = np.empty_like(prod)
+        src = np.empty((2, 2) + inner, wide) if widen else None
         for k in tiles:
-            x = view(k).transpose(2, 0, 1, 3)   # (half, plane, block, offset)
-            xs = x[None] if sparse else x[:, None]
+            x = view(k)   # (half, plane, blocks and offsets) of the state
+            if widen:
+                np.copyto(src, x)
+            xs = src if widen else x
+            xs = xs[None] if sparse else xs[:, None]
             np.multiply(xs, ur, out=prod)
             np.multiply(xs[:, :, ::-1], sgn, out=tmp)
-            out = mul(np.add(prod, tmp, out=prod), tmp)
-            if not sparse:   # one SU op per output amplitude: two multiplies, one add
-                add(np.add(out[0], out[1], out=out[0]))
-            x[...] = out[0]
+            if sparse:
+                product(prod[0], tmp[0], out=x)
+            else:   # one SU op per output amplitude: two multiplies, one add
+                p = product(prod, tmp, out=tmp)
+                total(p[0], p[1], out=x)
 
     _run_parts(part, nblocks * stride // tile, workers)
     return state

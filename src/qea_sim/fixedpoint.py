@@ -161,7 +161,12 @@ def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 
 def saturate_array(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp wide words to [RAW_MIN, RAW_MAX]; ``out`` may be ``raw`` itself."""
+    """Clamp wide words to [RAW_MIN, RAW_MAX].
+
+    Given ``out`` (``raw`` itself, or a narrower integer array such as an
+    int32 plane), ``raw`` is clamped in place on the way and ``out``
+    receives the result.
+    """
     # two ufuncs, not np.clip, whose Python wrapper costs more than both
-    out = np.minimum(raw, RAW_MAX, out=out)
-    return np.maximum(out, RAW_MIN, out=out)
+    high = np.minimum(raw, RAW_MAX, out=None if out is None else raw)
+    return np.maximum(high, RAW_MIN, out=high if out is None else out, casting="unsafe")
