@@ -205,8 +205,8 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
     """In-place single-qubit update at stride 2^(n-target-1).
 
     The pair space is cut into tiles of _TILE pairs, the unit of work and
-    of sharding.  Each tile is copied, widened (int64 for fixed), into a
-    buffer the kernel owns, and every product of the tile lands in two
+    of sharding.  A fixed-point tile is first copied, widened to int64,
+    into a buffer the kernel owns; every product of a tile lands in two
     more before any output is written.  One pass covers both planes and
     both halves of a tile: u*x = ur*x + (-ui, +ui)*x[::-1] per half.  The
     narrow steps run in place on the buffers; the last one writes the
