@@ -21,7 +21,7 @@ from . import metrics, pe_model
 from .circuit import (Circuit, CircuitParseError, TranspiledCircuit,
                       circuit_from_dict, circuit_to_dict, parse_circuit,
                       transpile)
-from .engine import FIXED, FLOAT, StateVector, format_dump, max_workers, run_circuit
+from .engine import FIXED, FLOAT, StateVector, check_fits, format_dump, max_workers, run_circuit
 from .generators import TOPOLOGIES, generate_qft, generate_template
 
 
@@ -37,14 +37,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def parse_generate_spec(spec: str) -> tuple[str, Circuit]:
+def _generator(spec: str):
+    """(name, n, build) of a generator spec; build() generates the circuit."""
     parts = spec.split(":")
     name = parts[0].lower()
     if name == "qft":
         if len(parts) != 2:
             raise ValueError(f"qft spec is qft:<n>, got {spec!r}")
         n = int(parts[1])
-        return f"qft:{n}", generate_qft(n)
+        return f"qft:{n}", n, lambda: generate_qft(n)
     if name == "template":
         if not 3 <= len(parts) <= 5:
             raise ValueError(f"template spec is template:<topology>:<n>[:<layers>[:<seed>]], got {spec!r}")
@@ -52,8 +53,14 @@ def parse_generate_spec(spec: str) -> tuple[str, Circuit]:
         n = int(parts[2])
         layers = int(parts[3]) if len(parts) > 3 else 1
         seed = int(parts[4]) if len(parts) > 4 else 0
-        return f"template:{topology}:{n}:{layers}:{seed}", generate_template(topology, n, layers, seed)
+        return (f"template:{topology}:{n}:{layers}:{seed}", n,
+                lambda: generate_template(topology, n, layers, seed))
     raise ValueError(f"unknown generator {name!r} (expected qft or template)")
+
+
+def parse_generate_spec(spec: str) -> tuple[str, Circuit]:
+    name, _, build = _generator(spec)
+    return name, build()
 
 
 def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
@@ -64,24 +71,40 @@ def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
     return Path(path).stem, parse_circuit(text)
 
 
-def _resolve_source(args) -> tuple[str, Circuit | TranspiledCircuit]:
+def _resolve_source(args, check) -> tuple[str, Circuit | TranspiledCircuit]:
+    """The circuit to use; check(n) refuses a generated n before any gate is built."""
     if getattr(args, "generate", None):
         if getattr(args, "circuit", None):
             raise ValueError("give either a circuit file or --generate, not both")
-        return parse_generate_spec(args.generate)
+        name, n, build = _generator(args.generate)
+        check(n)
+        return name, build()
     if getattr(args, "circuit", None):
         return load_circuit_file(args.circuit)
     raise ValueError("no circuit source: pass a file or --generate <spec>")
 
 
-def _parse_qubit_range(text: str) -> list[int]:
+def _parse_qubit_range(text: str, check) -> range:
+    """check(hi) refuses the range before any of it is built."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty qubit range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    check(hi)
+    return range(lo, hi + 1)
+
+
+def _check_float_state(n: int) -> None:
+    # bench and compare also run the float reference, the larger state
+    check_fits(n, FLOAT)
+
+
+def _check_estimate(n: int) -> None:
+    if n >= sys.float_info.max_exp:   # the memory ratio, about 2^n, must be a finite float
+        raise ValueError(f"{n} qubits: the matmul/QEA memory ratio, about 2^{n}, overflows a float")
 
 
 def _pe_config(args) -> pe_model.PEConfig:
@@ -94,7 +117,7 @@ def _pe_config(args) -> pe_model.PEConfig:
 
 
 def cmd_run(args) -> int:
-    name, circ = _resolve_source(args)
+    name, circ = _resolve_source(args, lambda n: check_fits(n, args.arith))
     tc = transpile(circ)
     state = StateVector.zero(circ.n, args.arith)
     state, stats = run_circuit(tc, state, max_workers())
@@ -120,12 +143,12 @@ def _bench_suite(args):
     what = args.what
     if what == "qft":
         return [(f"qft:{n}", lambda n=n: generate_qft(n))
-                for n in _parse_qubit_range(args.qubits or "3..10")]
+                for n in _parse_qubit_range(args.qubits or "3..10", _check_float_state)]
     if what == "template":
         if not args.topology:
             raise ValueError("bench template requires --topology")
         suite = []
-        for n in _parse_qubit_range(args.qubits or "4"):
+        for n in _parse_qubit_range(args.qubits or "4", _check_float_state):
             name = f"template:{args.topology}:{n}:{args.layers}:{args.seed}"
             suite.append((name, lambda n=n: generate_template(args.topology, n, args.layers, args.seed)))
         return suite
@@ -165,7 +188,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    name, circ = _resolve_source(args)
+    name, circ = _resolve_source(args, _check_float_state)
     tc = transpile(circ)
     workers = max_workers()
     fixed, _ = run_circuit(tc, StateVector.zero(circ.n, FIXED), workers)
@@ -186,12 +209,12 @@ def cmd_estimate(args) -> int:
     cfg = _pe_config(args)
     name, tc = None, None
     if args.generate or args.circuit:
-        name, circ = _resolve_source(args)
+        name, circ = _resolve_source(args, _check_estimate)
         tc = transpile(circ)
     gates = len(tc.gates) if tc is not None else 0
 
     rows = []
-    for n in _parse_qubit_range(args.qubits):
+    for n in _parse_qubit_range(args.qubits, _check_estimate):
         qea = pe_model.estimate_memory_qea(n, gates)
         mm = pe_model.estimate_memory_matmul(n)
         rows.append({"n": n, "gates": gates, "qea_bytes": qea,

@@ -8,7 +8,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,8 @@ RAW_MAX = (1 << 31) - 1          # +2 - 2^-30
 RAW_MIN = -(1 << 31)             # -2
 _FRAC_MASK = RAW_ONE - 1
 _HALF = 1 << (FRAC_BITS - 1)
+
+_set = object.__setattr__   # the immutable scalars' __init__ stores through it
 
 
 def saturate(raw: int) -> int:
@@ -42,15 +43,37 @@ def round_q60(wide: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class Fixed:
-    """One Q2.30 scalar; ``raw`` is the signed 32-bit storage word."""
+    """One Q2.30 scalar; ``raw`` is the signed 32-bit storage word.
 
-    raw: int
+    Immutable, compared and hashed by value.  A slotted plain class, which
+    builds faster than a frozen dataclass: the scalar reference builds two
+    per word of acceptance test 9's 2^24-word round-trip sample.
+    """
 
-    def __post_init__(self) -> None:
-        if not RAW_MIN <= self.raw <= RAW_MAX:
-            raise ValueError(f"raw {self.raw} outside signed 32-bit range")
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: int) -> None:
+        if not RAW_MIN <= raw <= RAW_MAX:
+            raise ValueError(f"raw {raw} outside signed 32-bit range")
+        _set(self, "raw", raw)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.raw == other.raw if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.raw,))
+
+    def __repr__(self) -> str:
+        return f"Fixed(raw={self.raw!r})"
+
+    def __reduce__(self):   # copy and pickle build through __init__, not __setattr__
+        return Fixed, (self.raw,)
 
     def hex(self) -> str:
         """Two's-complement storage word as 8 hex digits."""
@@ -83,12 +106,34 @@ def to_float(a: Fixed) -> float:
     return a.raw / RAW_ONE
 
 
-@dataclass(frozen=True)
 class FixedComplex:
-    """Complex amplitude stored as exactly two Q2.30 words (no metadata)."""
+    """Complex amplitude stored as exactly two Q2.30 words (no metadata).
 
-    re: Fixed
-    im: Fixed
+    Immutable, compared and hashed by value, slotted like Fixed.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fixed, im: Fixed) -> None:
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    __setattr__ = Fixed.__setattr__
+    __delattr__ = Fixed.__setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"FixedComplex(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return FixedComplex, (self.re, self.im)
 
     @classmethod
     def from_complex(cls, z: complex) -> "FixedComplex":
@@ -137,8 +182,14 @@ def to_fixed_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
-    # same steps as to_fixed; np.rint is nearest-even
-    return np.clip(np.rint(np.clip(x, -4.0, 4.0) * RAW_ONE), RAW_MIN, RAW_MAX).astype(np.int32)
+    # to_fixed's word with one clamp, to [RAW_MIN, RAW_MAX] / 2^30: inside it
+    # x * 2^30 is exact and rounds within range (np.rint is nearest-even);
+    # beyond it to_fixed saturates to the bound passed.  minimum/maximum,
+    # not np.clip, whose Python wrapper costs more than both.
+    y = np.maximum(x, RAW_MIN / RAW_ONE)
+    np.minimum(y, RAW_MAX / RAW_ONE, out=y)
+    y *= RAW_ONE
+    return np.rint(y, out=y).astype(np.int32)
 
 
 def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

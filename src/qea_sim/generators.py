@@ -26,7 +26,8 @@ def generate_qft(n: int) -> Circuit:
     for q in range(n):
         gates.append(Gate(GateKind.H, (q,)))
         for k in range(q + 1, n):
-            gates.append(Gate(GateKind.CP, (k, q), math.pi / (1 << (k - q))))
+            # pi / 2^(k-q), with no integer-to-float overflow past k-q = 1023
+            gates.append(Gate(GateKind.CP, (k, q), math.ldexp(math.pi, q - k)))
     for q in range(n // 2):
         gates.append(Gate(GateKind.SWAP, (q, n - 1 - q)))
     return Circuit(n, tuple(gates))

@@ -113,15 +113,13 @@ def bench_circuit(name: str, circuit: Circuit,
     separately, never mixed with measurements.
     """
     tc = transpile(circuit)
-    pre = _class_counts(circuit.gates)
-    post = _class_counts(tc.gates)
+    pre = _class_counts(circuit.gates)   # composites are counted before transpiling only
 
     times = []
-    fixed_out = None
     for _ in range(max(1, repeats)):
         state = StateVector.zero(circuit.n, FIXED)
         t0 = time.perf_counter()
-        fixed_out, _ = run_circuit(tc, state, workers)
+        fixed_out, post = run_circuit(tc, state, workers)   # post-transpile counts from the run's plan
         times.append(time.perf_counter() - t0)
     wall = statistics.median(times)
 
@@ -136,9 +134,9 @@ def bench_circuit(name: str, circuit: Circuit,
         pre_dense=pre[DENSE],
         pre_cx=pre[CX],
         pre_composite=pre["composite"],
-        post_sparse=post[SPARSE],
-        post_dense=post[DENSE],
-        post_cx=post[CX],
+        post_sparse=post.sparse_gates,
+        post_dense=post.dense_gates,
+        post_cx=post.cx_gates,
         fidelity=fidelity(fixed_out, ref),
         mse=mse(fixed_out, ref),
         norm_error=norm_error(fixed_out),

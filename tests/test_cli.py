@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from qea_sim import cli
 from qea_sim.cli import main, parse_generate_spec
 from qea_sim.engine import parse_dump
 
@@ -184,6 +186,25 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--qubits", "1100"),               # the memory ratio overflows a float
+        ("estimate", "--qubits", "1..1000000000"),      # refused before any row is built
+        ("estimate", "--qubits", "4", "--generate", "qft:3000"),
+        ("run", "--generate", "qft:3000"),
+        ("run", "--generate", "qft:1000"),
+        ("run", "--generate", "template:rotation:1000"),
+        ("compare", "--generate", "qft:1000"),
+        ("bench", "qft", "--qubits", "3..1000"),
+    ])
+    def test_oversized_n_refused_before_generating(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a generator ran for an oversized n")
+        monkeypatch.setattr(cli, "generate_qft", refuse)
+        monkeypatch.setattr(cli, "generate_template", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("doc", [
         {"n": 2},
         {"gates": []},
@@ -201,3 +222,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "run", str(p))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# sha256 of `qea-sim run` dumps, recorded before the prepared run plan;
+# every worker count must give the same bytes
+RUN_DUMP_SHA256 = {
+    ("qft:14", "fixed"): "4787ff3cdd0d7cbd80c729b87e6c1ea81e53161072546de685e2f6e2426fc24e",
+    ("qft:14", "float"): "6df1b72995a4c152f8ee842b0ac1b444c32836a95a9ea8067f68fbce1c1b8d81",
+    ("template:rotation:10:3:7", "fixed"): "bb20733f650a961eff4eea93f98fc23420e22634819f545c5f78ce711af28227",
+    ("template:rotation:10:3:7", "float"): "608eacacb183228467bbb6cc4e884cbe579522855170f211ceecb825591d4535",
+}
+
+
+class TestPinnedDumps:
+    @pytest.mark.parametrize("threads", ["1", "2", "4", "8"])
+    @pytest.mark.parametrize("spec,arith", sorted(RUN_DUMP_SHA256))
+    def test_run_dump_sha256(self, capsys, monkeypatch, spec, arith, threads):
+        monkeypatch.setenv("QEA_SIM_THREADS", threads)
+        code, out, err = run_cli(capsys, "run", "--generate", spec, "--arith", arith)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RUN_DUMP_SHA256[spec, arith]

@@ -231,6 +231,55 @@ class TestKernelProperty:
         assert a.planes.tobytes() == b.planes.tobytes()   # bits, signed zeros included
 
 
+_PLAN_KINDS = _1Q_KINDS + [GateKind.CX]
+
+
+@st.composite
+def _circuits(draw, n):
+    """1-12 gates of H/S/Rx/Ry/Rz/CX on n qubits, targets drawn per gate, so
+    consecutive gates change stride and tile shape."""
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(_PLAN_KINDS if n > 1 else _1Q_KINDS))
+        if kind is GateKind.CX:
+            control = draw(st.integers(0, n - 1))
+            target = draw(st.integers(0, n - 1).filter(lambda q: q != control))
+            gates.append(Gate(kind, (control, target)))
+        else:
+            angle = draw(st.floats(-7.0, 7.0)) if kind in PARAMETERIZED else None
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
+    return transpile(Circuit(n, tuple(gates)))
+
+
+class TestPlanProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_run_matches_gate_by_gate(self, data, n, arith, tile, workers):
+        # run_circuit's plan against the scalar flag loop and the CX permutation
+        # oracle applied gate by gate, bit for bit; in float, also against the
+        # dense matrix oracle within acceptance test 4's tolerance
+        tc = data.draw(_circuits(n))
+        words = data.draw(st.lists(_WORDS if arith == FIXED else _VALUES,
+                                   min_size=2 << n, max_size=2 << n))
+        a, b = StateVector(n, arith), StateVector(n, arith)
+        a.planes[:] = b.planes[:] = np.reshape(words, (2, 1 << n))
+        psi = a.to_complex()
+        with mock.patch.object(engine, "_TILE", tile):
+            _, stats = run_circuit(tc, a, workers)
+        for g in tc.gates:
+            if g.kind is GateKind.CX:
+                perm = np.argmax(oracles.cx_matrix(n, *g.qubits).real, axis=1)
+                b.planes[:] = b.planes[:, perm]
+            else:
+                apply_1q_flagloop(b, make_application(g, arith))
+        assert a.planes.tobytes() == b.planes.tobytes()
+        assert stats.total_gates == len(tc.gates)
+        if arith == FLOAT:
+            want = oracles.circuit_matrix(n, tc.gates) @ psi
+            assert np.max(np.abs(a.to_complex() - want)) <= 1e-10
+
+
 class TestApplyCx:
     def test_defining_action(self):
         sv = StateVector.from_complex([0, 0, 1, 0])          # |10>

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +175,30 @@ class TestComplexOps:
             assert got <= abs(a.to_complex()) * abs(b.to_complex()) + 2**-28
 
 
+class TestScalarObjects:
+    def test_value_semantics(self):
+        a, b = fx.Fixed(5), fx.Fixed(5)
+        assert a == b and hash(a) == hash(b) and a != fx.Fixed(6)
+        assert a != 5                      # no equality with a bare int
+        z = fx.FixedComplex(a, fx.Fixed(-1))
+        w = fx.FixedComplex(b, fx.Fixed(-1))
+        assert z == w and hash(z) == hash(w) and z != fx.CZERO
+        assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+
+    def test_immutable(self):
+        a = fx.Fixed(5)
+        with pytest.raises(AttributeError):
+            a.raw = 6
+        with pytest.raises(AttributeError):
+            fx.CZERO.re = a
+        assert a.raw == 5 and fx.CZERO.re == fx.ZERO
+
+    def test_range_check(self):
+        for raw in (fx.RAW_MIN - 1, fx.RAW_MAX + 1):
+            with pytest.raises(ValueError, match="outside"):
+                fx.Fixed(raw)
+
+
 class TestHexForm:
     def test_hex_digits(self):
         assert fx.Fixed(0x40000000).hex() == "40000000"
@@ -229,9 +255,14 @@ class TestArrayHelpers:
 
     def test_to_fixed_array_matches_scalar(self):
         rng = np.random.default_rng(29)
+        top, bottom = fx.RAW_MAX / fx.RAW_ONE, fx.RAW_MIN / fx.RAW_ONE
         xs = np.concatenate([rng.uniform(-2.5, 2.5, size=2000),
                              np.array([1.5, 2.5, -1.5, -2.5]) / fx.RAW_ONE,   # ties
-                             [1e300, -1e300, 2.0, -2.0, 0.0]])
+                             [1e300, -1e300, 2.0, -2.0, 0.0],
+                             # around the saturation bounds, the top tie included
+                             [top, np.nextafter(top, 3.0), (fx.RAW_MAX + 0.5) / fx.RAW_ONE,
+                              np.nextafter(2.0, 0.0), np.nextafter(bottom, -3.0),
+                              (fx.RAW_MIN - 0.5) / fx.RAW_ONE, 3.999, -3.999, 4.0, -4.0, 4.5, -4.5]])
         got = fx.to_fixed_array(xs)
         assert got.dtype == np.int32
         assert got.tolist() == [fx.to_fixed(float(x)).raw for x in xs]
