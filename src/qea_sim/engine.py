@@ -20,12 +20,13 @@ apply_1q and apply_cx are one-gate uses of the same steps.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -59,6 +60,15 @@ def _fixed_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return fx.saturate_array(np.add(a, b, out=a), out=out)
 
 
+def _rounded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # _fixed_product without saturation: b holds the carry, out may be int32 state words
+    return fx.round_q60_array(np.add(a, b, out=a), out=out, carry=b)
+
+
+def _wrapping_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.add(a, b, out=out, casting="unsafe")
+
+
 def _float_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(a, b, out=out)
 
@@ -83,6 +93,8 @@ _ARITH = {
     FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum),
     FLOAT: _Arith(np.float64, 1.0, _same, np.float64, _float_add, _float_add),
 }
+# the fixed steps of a run that _clamp_free proves cannot saturate: same bits
+_CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_sum=_wrapping_sum)
 
 
 def check_fits(n: int, arith: str) -> None:
@@ -292,13 +304,13 @@ def _tile_words(arith: _Arith, sparse: bool, tile: int) -> int:
     return tile * ((8 if sparse else 16) + (4 if arith.dtype is not arith.wide else 0))
 
 
-def _tile_kernel(state: StateVector, target: int, sparse: bool, tile: int, rows) -> tuple:
+def _tile_kernel(state: StateVector, arith: _Arith, target: int, sparse: bool, tile: int, rows) -> tuple:
     """What _one_qubit needs for gates of one mode on one target: the state
-    viewed as tiles, and per part the arrays it uses, prefixes of its row."""
+    viewed as tiles, and per part the arrays it uses, prefixes of its row;
+    `arith` is the state's variant, or _CLAMP_FREE."""
     n = state.n
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for n={n}")
-    arith = _ARITH[state.arith]
     stride = 1 << (n - target - 1)
     if stride >= tile:   # a tile is part of one block's offset range
         view = state.planes.reshape(2, 1 << target, 2, stride // tile, tile).transpose(1, 3, 2, 0, 4)[..., None, :]
@@ -359,8 +371,73 @@ def _swap_views(state: StateVector, control: int, target: int, parts: list[range
     return views
 
 
-def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> list:
-    """A run's plan: one _run_parts argument tuple per gate.
+# Bound on the growth of a quantized gate's 2-norm, ||U_q||_2 - 1 (see
+# _saturation_bound), and words per float64 chunk of _raw_norm's sum: a
+# 128 KiB chunk; 2^16 words raised an n=16 run's peak RSS by about 1 MB.
+_ETA = 2.0 ** -28
+_NORM_CHUNK = 1 << 14
+
+
+def _raw_norm(planes: np.ndarray) -> float:
+    """2-norm of the raw words, within a relative 2^-38 of the exact one.
+
+    Each chunk's sum of squares is a float64 dot product of C = 2^14 words,
+    off by at most a relative C * 2^-53 (the terms are nonnegative), and
+    fsum adds the chunks exactly, so no state-sized temporary is made.
+    """
+    flat = planes.reshape(-1)
+    sums = []
+    for lo in range(0, flat.size, _NORM_CHUNK):
+        chunk = flat[lo:lo + _NORM_CHUNK].astype(np.float64)
+        sums.append(float(np.dot(chunk, chunk)))
+    return math.sqrt(math.fsum(sums))
+
+
+def _saturation_bound(norm: float, gates: int, words: int) -> float:
+    """B = (1+eta)^G (nu + G sqrt(M)): a bound on the modulus of every
+    amplitude, in raw words, before each gate of a fixed-point run.
+
+    nu is `norm`, the state's 2-norm in raw words before the run, raised
+    by a relative 2^-20 for _raw_norm's float error; G is `gates`, the
+    run's one-qubit gate count, and M is `words`, 2^(n+1).
+
+    Proof, by induction over the gates, for a run in which no word has
+    clamped yet.  A quantized gate matrix U_q has each of its 8 words
+    within 2^-31 of those of U, which is unitary to float precision, so
+    ||U_q - U||_2 <= ||U_q - U||_F <= sqrt(8) 2^-31 < eta = 2^-28, hence
+    ||U_q||_2 <= 1 + eta and every entry |u_ij| <= 1 + eta.  Take a state
+    x before a one-qubit gate and a pair (x_0, x_1) of it.  A sparse
+    output word rounds one component of u_jj x_j once; a dense one adds
+    two rounded components, of u_i0 x_0 and u_i1 x_1, whose exact sum is a
+    component of (U_q (x_0, x_1))_i.  Each rounding moves a value by at
+    most 1/2, so every product the gate narrows and every sum it writes is
+    at most (1+eta) ||x|| + 1 in modulus, and the state after the gate is
+    U_q x + e with every word of e at most 1: ||x'|| <= (1+eta) ||x|| +
+    sqrt(M).  CX permutes words and keeps the norm.  After k one-qubit
+    gates, ||x|| <= (1+eta)^k nu + sqrt(M) sum_{i<k} (1+eta)^i <= B.  So
+    if (1+eta) B + 1 <= RAW_MAX, no product or sum of the run reaches a
+    clamp (RAW_MIN = -RAW_MAX - 1), and rounding alone gives the same bits.
+    _clamp_free asks for (1+eta) B + 2, one raw unit more, which covers
+    the float rounding of B itself.  B is monotone in nu and G, and
+    infinite where the power overflows.
+    """
+    try:
+        growth = (1.0 + _ETA) ** gates
+    except OverflowError:
+        return math.inf
+    return growth * (norm * (1.0 + 2.0 ** -20) + gates * math.sqrt(words))
+
+
+def _clamp_free(planes: np.ndarray, gates: int) -> bool:
+    """Whether a fixed-point run of `gates` one-qubit gates on these raw
+    words provably never saturates (_saturation_bound)."""
+    bound = _saturation_bound(_raw_norm(planes), gates, planes.size)
+    return (1.0 + _ETA) * bound + 2.0 <= fx.RAW_MAX
+
+
+def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> tuple[list, bool]:
+    """A run's plan: one _run_parts argument tuple per gate, and whether
+    its fixed-point steps skip saturation (_clamp_free).
 
     The device loads each gate's context (pe_model.GATE_BYTES) before the
     amplitude sweep; this is the host's share of that work, done once per
@@ -372,6 +449,9 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     row of a single flat buffer: every tile shape's product, scratch and
     widened tile, and the CX temporary, are reshaped prefixes of it, so
     every gate works in the same cache-warm block, not one per tile shape.
+    A fixed-point run whose norm bound proves that no word can saturate
+    runs every one-qubit gate with the _CLAMP_FREE steps, any other run
+    with the clamping ones: one choice for the whole run.
     """
     n = state.n
     arith = _ARITH[state.arith]
@@ -386,7 +466,9 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     counts = [len(tile_parts)] * bool(ones) + [len(parts) for parts in swaps.values()]
     buf = np.empty((max(counts, default=1), max(lengths, default=0)), arith.wide)
 
-    kernels = {key: _tile_kernel(state, *key, tile, buf[:len(tile_parts)]) for key in ones}
+    clamp_free = state.arith == FIXED and _clamp_free(state.planes, len(words))
+    steps_arith = _CLAMP_FREE if clamp_free else arith
+    kernels = {key: _tile_kernel(state, steps_arith, *key, tile, buf[:len(tile_parts)]) for key in ones}
     swappers = {qs: (parts, _swap_views(state, *qs, parts, buf.view(arith.dtype))) for qs, parts in swaps.items()}
     operands = {sparse: _operands(words, sparse, arith.wide) for sparse in {sparse for _, sparse in ones}}
     steps = []
@@ -399,7 +481,7 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
             ur, sgn = operands[sparse]
             steps.append((_one_qubit, tile_parts, kernels[qs[0], sparse], ur[j], sgn[j]))
             j += 1
-    return steps
+    return steps, clamp_free
 
 
 def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> StateVector:
@@ -412,7 +494,7 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
     tile, parts = _tile_parts(state.n, workers)
     rows = np.empty((len(parts), _tile_words(arith, sparse, tile)), arith.wide)
     ur, sgn = _operands(np.array([*app.u00, *app.u01, *app.u10, *app.u11], arith.wide), sparse, arith.wide)
-    _run_parts(_one_qubit, parts, _tile_kernel(state, app.target, sparse, tile, rows), ur[0], sgn[0])
+    _run_parts(_one_qubit, parts, _tile_kernel(state, arith, app.target, sparse, tile, rows), ur[0], sgn[0])
     return state
 
 
@@ -431,6 +513,7 @@ class RunStats:
     dense_gates: int = 0
     cx_gates: int = 0
     wall_time_s: float = 0.0
+    clamp_free: bool = False   # a fixed run that proved no word can saturate, so none did
 
     @property
     def total_gates(self) -> int:
@@ -449,9 +532,10 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     classes = [classify(g) for g in tc.gates]
     matrices = [gate_matrix(g) for g, cls in zip(tc.gates, classes) if cls != CX]
     words = _words(np.array(matrices, np.complex128).reshape(-1, 2, 2), state.arith)
-    for step in _prepare(state, classes, [g.qubits for g in tc.gates], words, workers):
+    steps, clamp_free = _prepare(state, classes, [g.qubits for g in tc.gates], words, workers)
+    for step in steps:
         _run_parts(*step)
-    stats = RunStats(classes.count(SPARSE), classes.count(DENSE), classes.count(CX))
+    stats = RunStats(classes.count(SPARSE), classes.count(DENSE), classes.count(CX), clamp_free=clamp_free)
     stats.wall_time_s = time.perf_counter() - t0
     return state, stats
 

@@ -192,23 +192,35 @@ def to_fixed_array(x: np.ndarray) -> np.ndarray:
     return np.rint(y, out=y).astype(np.int32)
 
 
-def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None,
+                    carry: np.ndarray | None = None) -> np.ndarray:
     """Vectorized nearest-even rounding of Q4.60 words to Q2.30.
 
-    ``out`` is either ``wide`` itself (rounding in place) or an array that
-    does not overlap it; only the first allocates a temporary.
+    ``out`` is ``wide`` itself (rounding in place), or an array that does
+    not overlap it: one of wide's width, or, given ``carry``, a narrower
+    integer array such as an int32 plane, which keeps the low bits of each
+    result.  ``carry`` is scratch of wide's width (``out`` itself may be
+    it); given it, ``wide`` may be overwritten on the way and nothing is
+    allocated.  Without it, only rounding in place allocates a temporary.
     """
     # adding half minus one, plus one more when the kept part is odd, carries
     # into the kept bits exactly when round_q60 rounds up
-    if out is wide:
+    if carry is not None:
+        np.right_shift(wide, FRAC_BITS, out=carry)
+    elif out is wide:
         carry = wide >> FRAC_BITS
-    else:
+    elif out is None or out.itemsize == wide.itemsize:
         carry = out = np.right_shift(wide, FRAC_BITS, out=out)
+    else:
+        raise ValueError("rounding into a narrower out needs carry")
     carry &= 1
     carry += _HALF - 1
-    out = np.add(wide, carry, out=out)
-    out >>= FRAC_BITS
-    return out
+    if out is carry:
+        np.add(wide, carry, out=out)
+        out >>= FRAC_BITS
+        return out
+    np.add(wide, carry, out=wide)
+    return np.right_shift(wide, FRAC_BITS, out=out, casting="unsafe")
 
 
 def saturate_array(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -15,6 +15,7 @@ interconnect simulation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .circuit import CX, SPARSE, TranspiledCircuit, classify
@@ -38,10 +39,13 @@ class PEConfig:
             raise ValueError(f"num_pes must be a power of two, got {self.num_pes}")
         if self.sus_per_pe < 1:
             raise ValueError("sus_per_pe must be >= 1")
-        if self.freq_hz <= 0:
-            raise ValueError("freq_hz must be positive")
-        if self.cross_pe_penalty_cycles < 0 or self.per_gate_overhead_cycles < 0:
-            raise ValueError("cycle costs must be non-negative")
+        # NaN fails every comparison, so each check asks for what is valid
+        if not (math.isfinite(self.freq_hz) and self.freq_hz > 0):
+            raise ValueError(f"freq_hz must be finite and positive, got {self.freq_hz!r}")
+        for name in ("cross_pe_penalty_cycles", "per_gate_overhead_cycles"):
+            cost = getattr(self, name)
+            if not (math.isfinite(cost) and cost >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {cost!r}")
 
     @property
     def total_sus(self) -> int:

@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qea_sim.circuit import (CX, DENSE, SPARSE, Circuit, CircuitParseError,
-                             Gate, GateKind, TranspiledCircuit,
+                             PARAMETERIZED, TWO_QUBIT, Gate, GateKind, TranspiledCircuit,
                              circuit_from_dict, circuit_to_dict, classify,
                              gate_matrix, parse_circuit, transpile)
 from qea_sim.generators import generate_qft, qft_transpiled_gate_count
@@ -199,6 +202,50 @@ class TestSerialization:
         back = circuit_from_dict(circuit_to_dict(tc))
         assert isinstance(back, TranspiledCircuit)
         assert back == tc
+
+
+# finite angles, signed zeros and subnormals included; at most 1e300 so the
+# transpiled global phase of ten gates stays finite
+_ANGLES = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def _any_circuits(draw):
+    """0-10 gates of every kind, composites included, on 1-6 qubits."""
+    n = draw(st.integers(1, 6))
+    kinds = list(GateKind) if n > 1 else [k for k in GateKind if k not in TWO_QUBIT]
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        arity = 2 if kind in TWO_QUBIT else 1
+        qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity, unique=True)))
+        gates.append(Gate(kind, qubits, draw(_ANGLES) if kind in PARAMETERIZED else None))
+    return Circuit(n, tuple(gates))
+
+
+def _circuit_text(c: Circuit) -> str:
+    lines = [f"qubits {c.n}"]
+    for g in c.gates:
+        angle = [repr(g.angle)] if g.angle is not None else []
+        lines.append(" ".join([g.kind.value, *angle, *map(str, g.qubits)]))
+    return "\n".join(lines) + "\n"
+
+
+def _identical(a, b) -> bool:
+    """Equal IR, every float compared by its repr, so -0.0 differs from 0.0."""
+    return a == b and repr(circuit_to_dict(a)) == repr(circuit_to_dict(b))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(c=_any_circuits())
+    def test_text_ir_json_ir(self, c):
+        parsed = parse_circuit(_circuit_text(c))
+        assert _identical(parsed, c)
+        for ir in (parsed, transpile(parsed)):   # the transpiled one carries its global phase
+            back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(ir))))
+            assert type(back) is type(ir)
+            assert _identical(back, ir)
 
 
 class TestValidation:

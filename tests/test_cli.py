@@ -205,6 +205,18 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("bench", "qft", "--qubits", "3", "--freq", "nan", "--repeats", "1"),
+        ("bench", "qft", "--qubits", "3", "--freq", "inf", "--repeats", "1"),
+        ("estimate", "--generate", "qft:3", "--qubits", "3", "--freq", "nan"),
+        ("estimate", "--qubits", "3", "--freq=-inf"),
+    ])
+    def test_non_finite_frequency(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: freq_hz must be finite") and "Traceback" not in err
+        assert "modeled_time_s" not in out
+
     @pytest.mark.parametrize("doc", [
         {"n": 2},
         {"gates": []},

@@ -17,7 +17,7 @@ from qea_sim.engine import (FIXED, FLOAT, GateApplication, StateVector,
                             apply_1q, apply_1q_flagloop, apply_cx,
                             format_dump, make_application, parse_dump,
                             reference_run, run_circuit)
-from qea_sim.generators import generate_qft
+from qea_sim.generators import generate_qft, generate_template
 
 
 def random_unitary_2x2(rng):
@@ -251,6 +251,17 @@ def _circuits(draw, n):
     return transpile(Circuit(n, tuple(gates)))
 
 
+def _gate_by_gate(sv, tc):
+    """tc applied to sv one gate at a time: the scalar flag loop for
+    one-qubit gates, the CX permutation oracle for CX."""
+    for g in tc.gates:
+        if g.kind is GateKind.CX:
+            sv.planes[:] = sv.planes[:, np.argmax(oracles.cx_matrix(sv.n, *g.qubits).real, axis=1)]
+        else:
+            apply_1q_flagloop(sv, make_application(g, sv.arith))
+    return sv
+
+
 class TestPlanProperty:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 6), arith=st.sampled_from([FIXED, FLOAT]),
@@ -267,17 +278,97 @@ class TestPlanProperty:
         psi = a.to_complex()
         with mock.patch.object(engine, "_TILE", tile):
             _, stats = run_circuit(tc, a, workers)
-        for g in tc.gates:
-            if g.kind is GateKind.CX:
-                perm = np.argmax(oracles.cx_matrix(n, *g.qubits).real, axis=1)
-                b.planes[:] = b.planes[:, perm]
-            else:
-                apply_1q_flagloop(b, make_application(g, arith))
-        assert a.planes.tobytes() == b.planes.tobytes()
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
         assert stats.total_gates == len(tc.gates)
         if arith == FLOAT:
             want = oracles.circuit_matrix(n, tc.gates) @ psi
             assert np.max(np.abs(a.to_complex() - want)) <= 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), scale=st.floats(1.9, 2.1),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_run_near_clamp_threshold(self, data, n, scale, tile, workers):
+        # fixed states with 2-norms of about 1.9-2.1 * 2^30 raw, around where
+        # the saturation bound stops holding: both narrow steps run, and each
+        # run matches the saturating flag loop and the CX oracle bit for bit
+        tc = data.draw(_circuits(n))
+        direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 << n, max_size=2 << n)))
+        norm = np.linalg.norm(direction)
+        words = np.rint(direction * (scale * fx.RAW_ONE / norm)) if norm else direction
+        a, b = StateVector(n, FIXED), StateVector(n, FIXED)
+        a.planes[:] = b.planes[:] = np.clip(words, fx.RAW_MIN, fx.RAW_MAX).reshape(2, 1 << n)
+        with mock.patch.object(engine, "_TILE", tile):
+            _, stats = run_circuit(tc, a, workers)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+        if stats.clamp_free:   # then no word of the flag loop met a clamp
+            assert not np.isin(b.planes, [fx.RAW_MIN, fx.RAW_MAX]).any()
+
+
+class TestClampFree:
+    """The per-run choice of narrow steps (engine._clamp_free)."""
+
+    def test_zero_state_runs_are_clamp_free(self):
+        for tc in (transpile(generate_qft(6)), transpile(generate_template("rotation", 5, 3, 7))):
+            _, stats = run_circuit(tc, StateVector.zero(tc.n, FIXED))
+            assert stats.clamp_free
+            _, stats = run_circuit(tc, StateVector.zero(tc.n, FLOAT))
+            assert not stats.clamp_free   # float runs have no clamps to skip
+
+    def test_full_range_words_clamp(self):
+        # TestFlagLoop's full-range words: the bound fails, the run clamps,
+        # and it still matches the flag loop
+        rng = np.random.default_rng(67)
+        n = 4
+        words = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=(2, 1 << n))
+        ends = rng.random(words.shape) < 0.5
+        words[ends] = rng.choice([fx.RAW_MIN, fx.RAW_MAX], size=int(ends.sum()))
+        tc = transpile(Circuit(n, (Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 3)),
+                                   Gate(GateKind.RZ, (2,), 2.1), Gate(GateKind.RY, (3,), 0.4))))
+        a, b = StateVector(n, FIXED), StateVector(n, FIXED)
+        a.planes[:] = b.planes[:] = words
+        _, stats = run_circuit(tc, a)
+        assert not stats.clamp_free
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+
+    def test_clamping_run_saturates_a_word(self):
+        # H on (RAW_MAX, RAW_MAX): the exact sum, 2^31.5 raw, is beyond RAW_MAX
+        sv = StateVector(1, FIXED)
+        sv.planes[0] = fx.RAW_MAX
+        want = StateVector(1, FIXED)
+        want.planes[:] = sv.planes
+        tc = transpile(Circuit(1, (Gate(GateKind.H, (0,)),)))
+        exact = oracles.circuit_matrix(1, tc.gates) @ sv.to_complex() * fx.RAW_ONE
+        assert exact[0].real > fx.RAW_MAX
+        _, stats = run_circuit(tc, sv)
+        assert not stats.clamp_free
+        assert sv.planes[0, 0] == fx.RAW_MAX
+        assert sv.planes.tobytes() == _gate_by_gate(want, tc).planes.tobytes()
+
+    def test_clamp_free_run_near_the_top(self):
+        # one word 4096 raw units below RAW_MAX, moved between the planes by S
+        # and between amplitudes by CX: the bound holds, nothing may clamp,
+        # and the run keeps the word's modulus, within 2^-19 of the range
+        n, w = 3, fx.RAW_MAX - 4096
+        tc = transpile(Circuit(n, tuple(Gate(GateKind.S, (q,)) for q in range(n))
+                               + (Gate(GateKind.CX, (0, 1)),) + tuple(Gate(GateKind.S, (q,)) for q in range(n))))
+        sv, want = StateVector(n, FIXED), StateVector(n, FIXED)
+        sv.planes[0, -1] = want.planes[0, -1] = w
+        _, stats = run_circuit(tc, sv)
+        assert stats.clamp_free
+        assert np.abs(sv.planes).max() == w
+        assert sv.planes.tobytes() == _gate_by_gate(want, tc).planes.tobytes()
+
+    def test_bound_monotone_in_norm_and_gates(self):
+        norms = [0.0, 1.0, 2.0 ** 20, 2.0 ** 30, 2.0 ** 31, 1e300]
+        gates = [0, 1, 12, 721, 1 << 20, 1 << 40, 10 ** 400]
+        for words in (2, 1 << 18):
+            table = [[engine._saturation_bound(nu, g, words) for g in gates] for nu in norms]
+            for row in table:
+                assert row == sorted(row)
+            for column in zip(*table):
+                assert list(column) == sorted(column)
+            assert table[0][-1] == math.inf   # the power overflows: no run is clamp-free
+            assert table[3][0] > 2.0 ** 30     # nu itself is raised for float error
 
 
 class TestApplyCx:
@@ -497,6 +588,20 @@ class TestDumpFormat:
         sv = StateVector.from_complex(oracles.random_state(3, rng))
         back = parse_dump(format_dump(sv))
         np.testing.assert_array_equal(back.to_complex(), sv.to_complex())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 5), arith=st.sampled_from([FIXED, FLOAT]))
+    def test_format_parse_format_identical(self, data, n, arith):
+        # full-range fixed words, RAW_MIN / RAW_MAX included; any finite float,
+        # both signed zeros and subnormals included
+        values = _WORDS if arith == FIXED else st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1040]), st.floats(allow_nan=False, allow_infinity=False))
+        sv = StateVector(n, arith)
+        sv.planes[:] = np.reshape(data.draw(st.lists(values, min_size=2 << n, max_size=2 << n)), (2, 1 << n))
+        text = format_dump(sv)
+        back = parse_dump(text)
+        assert back.arith == arith and back.planes.tobytes() == sv.planes.tobytes()
+        assert format_dump(back) == text
 
     def test_rejects_repeated_index(self):
         lines = format_dump(StateVector.zero(2, FIXED)).splitlines()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qea_sim.circuit import Circuit, Gate, GateKind, transpile
@@ -187,6 +189,15 @@ class TestPEConfig:
             PEConfig(sus_per_pe=0)
         with pytest.raises(ValueError):
             PEConfig(freq_hz=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("freq_hz", math.nan), ("freq_hz", math.inf), ("freq_hz", -1.0),
+        ("per_gate_overhead_cycles", math.nan), ("per_gate_overhead_cycles", math.inf),
+        ("per_gate_overhead_cycles", -1.0), ("cross_pe_penalty_cycles", math.nan),
+    ])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PEConfig(**{field: value})
 
     def test_defaults_match_hardware(self):
         cfg = PEConfig()
