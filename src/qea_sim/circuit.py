@@ -145,7 +145,10 @@ def transpile(c: Circuit | TranspiledCircuit) -> TranspiledCircuit:
     CP(theta) on (control, target) becomes
         Rz(theta/2) @ control, CX, Rz(-theta/2) @ target, CX, Rz(theta/2) @ target
     and contributes theta/4 of global phase (the five-gate product equals
-    e^{-i theta/4} CP(theta)).  SWAP becomes the usual three CX gates.
+    e^{-i theta/4} CP(theta)), reduced mod 2 pi into [-pi, pi] so the sum
+    stays finite for any finite angles; the reduction is exact and leaves
+    theta/4 unchanged when |theta/4| <= pi.  SWAP becomes the usual three
+    CX gates.
     """
     if isinstance(c, TranspiledCircuit):
         return c
@@ -160,7 +163,7 @@ def transpile(c: Circuit | TranspiledCircuit) -> TranspiledCircuit:
             out.append(Gate(GateKind.RZ, (tgt,), -half))
             out.append(Gate(GateKind.CX, (ctrl, tgt)))
             out.append(Gate(GateKind.RZ, (tgt,), half))
-            phase += g.angle / 4.0
+            phase += math.remainder(g.angle / 4.0, math.tau)
         elif g.kind is GateKind.SWAP:
             a, b = g.qubits
             out.append(Gate(GateKind.CX, (a, b)))

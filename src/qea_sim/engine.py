@@ -20,11 +20,11 @@ apply_1q and apply_cx are one-gate uses of the same steps.
 """
 from __future__ import annotations
 
+import binascii
 import math
 import os
 import threading
 import time
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -620,19 +620,111 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
 # Hex columns are the Q2.30 storage words (quantized for the float variant).
 # ---------------------------------------------------------------------------
 
-_DUMP_SLICE = 1 << 14   # amplitudes per .tolist() slice: bounds the Python lists
+_DUMP_SLICE = 1 << 14   # amplitudes per chunk of dump text written
+_DUMP_PIECE = 1 << 20   # characters of dump text split into lines at a time
+_HEX_CHARS = np.frombuffer(b"0123456789abcdef", np.uint8)
+_NIBBLES = np.arange(28, -4, -4, dtype=np.uint32)   # shifts of a word's hex digits, first to last
+# a body line as np.loadtxt reads it; a hex field's 9th byte shows a longer one
+_DUMP_LINE = np.dtype([("index", "i8"), ("re_hex", "S9"), ("im_hex", "S9"), ("re", "f8"), ("im", "f8")])
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _line_heads(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """`<index> <re_hex> <im_hex> ` of dump lines lo..hi-1, all indices of
+    one width, as a str array built from UCS-4 code points."""
+    width = len(str(hi - 1))
+    heads = np.full((hi - lo, width + 19), ord(" "), np.uint32)
+    index = np.arange(lo, hi)
+    for k in range(width - 1, -1, -1):
+        index, digit = np.divmod(index, 10)
+        heads[:, k] = digit + ord("0")
+    nibbles = _HEX_CHARS[(words[:, lo:hi, None] >> _NIBBLES) & 15]
+    heads[:, width + 1:width + 9], heads[:, width + 10:width + 18] = nibbles
+    return heads.view(f"U{width + 19}")[:, 0]
 
 
 def format_dump(state: StateVector) -> str:
     values = state._values()
     words = fx.to_fixed_array(values).view(np.uint32)
-    line = "{} {:08x} {:08x} {!r} {!r}\n".format
-    lines = [f"n={state.n} arith={state.arith}\n"]
-    for lo in range(0, len(state), _DUMP_SLICE):
-        sl = slice(lo, lo + _DUMP_SLICE)
-        lines += map(line, range(lo, lo + _DUMP_SLICE), words[0, sl].tolist(), words[1, sl].tolist(),
-                     values[0, sl].tolist(), values[1, sl].tolist())
-    return "".join(lines)   # one join: no second copy of the text
+    tail = "{}{!r} {!r}\n".format   # repr of the floats is the floor: it stays per line
+    chunks = [f"n={state.n} arith={state.arith}\n"]
+    size = len(state)
+    # cut at every _DUMP_SLICE and every power of ten: one index width per chunk
+    cuts = sorted({*range(0, size, _DUMP_SLICE), *(10 ** k for k in range(1, len(str(size - 1))))})
+    for lo, hi in zip(cuts, cuts[1:] + [size]):
+        chunks.append("".join(map(tail, _line_heads(words, lo, hi).tolist(),
+                                  values[0, lo:hi].tolist(), values[1, lo:hi].tolist())))
+    return "".join(chunks)
+
+
+def _numeral(field: str, kind: type):
+    """kind(field) for a plain ASCII numeral: no other digits, no underscores."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return kind(field)
+
+
+def _check_lines(lines: list[str], count: int) -> None:
+    """Raise ValueError naming the first body line of lines[1:] that fails
+    the per-line checks; parse_dump runs them only to name an error."""
+    seen = bytearray(count)
+    for lineno, ln in enumerate(lines[1:], start=2):
+        fields = ln.split()
+        if len(fields) != 5:
+            raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(fields)}")
+        try:
+            i = _numeral(fields[0], int)
+            if 0 <= i < count and not seen[i]:
+                seen[i] = 1
+                if not all(len(h) == 8 and _HEX_DIGITS.issuperset(h) for h in fields[1:3]):
+                    raise ValueError(ln)
+                for v in fields[3:]:
+                    _numeral(v, float)
+                continue
+        except ValueError:
+            raise ValueError(f"dump line {lineno}: unreadable field in {ln.strip()!r}") from None
+        raise ValueError(f"dump line {lineno}: index {i} out of range or repeated")
+
+
+def _text_pieces(text: str):
+    """The non-blank lines of text, in lists of about _DUMP_PIECE characters:
+    text is cut just after a newline, so together they are text.splitlines()'s."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _DUMP_PIECE) + 1 or len(text)
+        yield [ln for ln in text[lo:hi].splitlines() if ln.strip()]
+        lo = hi
+
+
+def _read_body(text: str, sv: StateVector) -> np.ndarray:
+    """Store the body lines of a dump text in sv's planes by index, read by
+    np.loadtxt one piece at a time; ValueError on a line _check_lines
+    rejects or a non-finite value.  Returns the indices whose hex columns
+    are not the quantized float columns."""
+    count = len(sv)
+    index = np.empty(count, np.int64)
+    bad = []
+    done = -1   # body lines read; the first non-blank line is the header
+    for lines in _text_pieces(text):
+        if done < 0 and lines:
+            lines, done = lines[1:], 0
+        if not lines:
+            continue
+        rec = np.loadtxt(lines, _DUMP_LINE, comments=None, ndmin=1)
+        i = rec["index"]
+        hexes = np.stack((rec["re_hex"], rec["im_hex"])).view(np.uint8).reshape(2, -1, 9)
+        if i.min() < 0 or i.max() >= count or hexes[..., 8].any():
+            raise ValueError("dump index out of range or hex field longer than 8 digits")
+        # unhexlify rejects any byte but a hex digit, the zero padding of a short field too
+        words = np.frombuffer(binascii.unhexlify(hexes[..., :8].tobytes()), ">i4").reshape(2, -1)
+        values = np.stack((rec["re"], rec["im"]))
+        bad.append(i[(fx.to_fixed_array(values) != words).any(axis=0)])
+        sv.planes[:, i] = _ARITH[sv.arith].quantize(values)
+        index[done:done + i.size] = i
+        done += i.size
+    if (np.bincount(index, minlength=count) != 1).any():
+        raise ValueError("dump index repeated")
+    return np.concatenate(bad)
 
 
 def parse_dump(text: str) -> StateVector:
@@ -641,39 +733,26 @@ def parse_dump(text: str) -> StateVector:
     Every index in 0..2^n-1 must appear exactly once, every field must
     parse, and the hex columns must be the Q2.30 quantization of the float
     columns, the rule format_dump writes them by for both arithmetics.
+    Fields are plain ASCII numerals, and hex fields exactly 8 hex digits,
+    as format_dump writes them.  Lines are split a piece of the text at a
+    time, never all at once, and the body is read as arrays; only a dump
+    that fails is read again line by line, to name its first bad line.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    head = next((lines[0] for lines in _text_pieces(text) if lines), "")
     try:
-        head = dict(part.split("=", 1) for part in lines[0].split())
-        n, arith = int(head["n"]), head["arith"]
+        fields = dict(part.split("=", 1) for part in head.split())
+        n, arith = int(fields["n"]), fields["arith"]
     except (KeyError, ValueError):
-        raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {lines[0]!r}") from None
-    count = len(lines) - 1
+        raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {head!r}") from None
+    count = sum(map(len, _text_pieces(text))) - 1
     if count.bit_length() - 1 != n or count != 1 << n:   # before allocating 2^n
         raise ValueError(f"n={n} needs 2^{n} amplitude lines, got {count}")
     sv = StateVector(n, arith)
-    words = array("I", bytes(8 * count))     # uint32 re words, then im words
-    values = array("d", bytes(16 * count))   # float64 re values, then im values
-    seen = bytearray(count)
-    for lineno, ln in enumerate(lines[1:], start=2):
-        fields = ln.split()
-        if len(fields) != 5:
-            raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(fields)}")
-        try:
-            i = int(fields[0])
-            if 0 <= i < count and not seen[i]:
-                seen[i] = 1
-                words[i], words[count + i] = int(fields[1], 16), int(fields[2], 16)
-                values[i], values[count + i] = float(fields[3]), float(fields[4])
-                continue
-        except (ValueError, OverflowError):
-            raise ValueError(f"dump line {lineno}: unreadable field in {ln.strip()!r}") from None
-        raise ValueError(f"dump line {lineno}: index {i} out of range or repeated")
-    del lines   # free them first: they outweigh the arrays below
-    words = np.frombuffer(words, dtype=np.uint32).reshape(2, count)
-    values = np.frombuffer(values).reshape(2, count)
-    bad = np.flatnonzero((fx.to_fixed_array(values).view(np.uint32) != words).any(axis=0))
+    try:
+        bad = _read_body(text, sv)
+    except ValueError:
+        _check_lines([ln for ln in text.splitlines() if ln.strip()], count)   # names the first bad line
+        raise
     if bad.size:
-        raise ValueError(f"dump index {bad[0]}: hex columns are not the quantized float columns")
-    sv.planes[:] = _ARITH[arith].quantize(values)
+        raise ValueError(f"dump index {bad.min()}: hex columns are not the quantized float columns")
     return sv

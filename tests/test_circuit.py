@@ -148,6 +148,18 @@ class TestTranspile:
         got = np.exp(1j * tc.global_phase) * oracles.circuit_matrix(2, tc.gates)
         np.testing.assert_allclose(got, oracles.cp_matrix(2, 0, 1, theta), atol=1e-12)
 
+    def test_qft_phase_is_the_unreduced_sum(self):
+        # every QFT angle/4 is within pi, where the per-CP reduction is exact
+        c = generate_qft(17)
+        want = sum(g.angle / 4.0 for g in c.gates if g.kind is GateKind.CP)
+        assert transpile(c).global_phase == want
+
+    def test_huge_cp_angles_keep_the_phase_finite(self):
+        theta = 1.7e308
+        tc = transpile(Circuit(2, (Gate(GateKind.CP, (0, 1), theta),) * 5))
+        assert tc.global_phase == 5 * math.remainder(theta / 4.0, math.tau)
+        assert abs(tc.global_phase) <= 5 * math.pi
+
     def test_qft17_gate_count(self):
         assert len(transpile(generate_qft(17)).gates) == 721
 
@@ -204,9 +216,8 @@ class TestSerialization:
         assert back == tc
 
 
-# finite angles, signed zeros and subnormals included; at most 1e300 so the
-# transpiled global phase of ten gates stays finite
-_ANGLES = st.floats(-1e300, 1e300)
+# any finite angle, signed zeros and subnormals included
+_ANGLES = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite

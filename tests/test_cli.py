@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestRun:
         assert code == 0
         assert f"global_phase={phase:.12g}" in err2
         assert out2 == out
+
+    def test_huge_cp_angles_run(self, tmp_path, capsys):
+        # five CP angles/4 near the float maximum would sum to inf unreduced
+        src = tmp_path / "huge.qc"
+        src.write_text("qubits 2\n" + "cp 1.7e308 0 1\n" * 5)
+        code, out, err = run_cli(capsys, "run", str(src))
+        assert code == 0
+        phase = float(err.split("global_phase=")[1].split()[0])
+        assert math.isfinite(phase) and abs(phase) <= 5 * math.pi
+        assert parse_dump(out).n == 2
 
 
 class TestBench:

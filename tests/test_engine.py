@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 from unittest import mock
@@ -568,6 +569,17 @@ class TestWorkersSmallTiles(TestWorkers):
         assert engine._pool is pool   # one pool across gates and runs, not one per gate
 
 
+# A 2-qubit fixed dump, header first, edited per case of TestDumpFormat's
+# rejection table: {file line: new text, or None to drop the line}.
+_DUMP2 = ["n=2 arith=fixed", "0 40000000 00000000 1.0 0.0", "1 00000000 00000000 0.0 0.0",
+          "2 00000000 00000000 0.0 0.0", "3 00000000 00000000 0.0 0.0"]
+
+
+def _edited_dump(edits: dict) -> str:
+    lines = [edits.get(k, ln) for k, ln in enumerate(_DUMP2, start=1)]
+    return "\n".join(ln for ln in lines if ln is not None) + "\n"
+
+
 class TestDumpFormat:
     def test_header_and_shape(self):
         sv = StateVector.zero(2, FIXED)
@@ -590,16 +602,19 @@ class TestDumpFormat:
         np.testing.assert_array_equal(back.to_complex(), sv.to_complex())
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), n=st.integers(1, 5), arith=st.sampled_from([FIXED, FLOAT]))
-    def test_format_parse_format_identical(self, data, n, arith):
+    @given(data=st.data(), n=st.integers(1, 5), arith=st.sampled_from([FIXED, FLOAT]),
+           piece=st.sampled_from([1, 50, engine._DUMP_PIECE]), chunk=st.sampled_from([1, 3, engine._DUMP_SLICE]))
+    def test_format_parse_format_identical(self, data, n, arith, piece, chunk):
         # full-range fixed words, RAW_MIN / RAW_MAX included; any finite float,
-        # both signed zeros and subnormals included
+        # both signed zeros and subnormals included; text split into lines a
+        # piece of `piece` characters at a time, written `chunk` lines at a time
         values = _WORDS if arith == FIXED else st.one_of(
             st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1040]), st.floats(allow_nan=False, allow_infinity=False))
         sv = StateVector(n, arith)
         sv.planes[:] = np.reshape(data.draw(st.lists(values, min_size=2 << n, max_size=2 << n)), (2, 1 << n))
-        text = format_dump(sv)
-        back = parse_dump(text)
+        with mock.patch.object(engine, "_DUMP_PIECE", piece), mock.patch.object(engine, "_DUMP_SLICE", chunk):
+            text = format_dump(sv)
+            back = parse_dump(text)
         assert back.arith == arith and back.planes.tobytes() == sv.planes.tobytes()
         assert format_dump(back) == text
 
@@ -626,3 +641,106 @@ class TestDumpFormat:
         lines[1] = line
         with pytest.raises(ValueError, match=match):
             parse_dump("\n".join(lines))
+
+    @pytest.mark.parametrize("edits,message", [
+        ({3: "1 00000000 00000000 0.0"}, "dump line 3: expected 5 fields, got 4"),
+        ({3: "1 00000000 00000000 0.0 0.0 0.0"}, "dump line 3: expected 5 fields, got 6"),
+        ({3: "x 00000000 00000000 0.0 0.0"}, "dump line 3: unreadable field in 'x 00000000 00000000 0.0 0.0'"),
+        ({3: "1.0 00000000 00000000 0.0 0.0"}, "dump line 3: unreadable field in '1.0 00000000 00000000 0.0 0.0'"),
+        ({3: "1 0000000g 00000000 0.0 0.0"}, "dump line 3: unreadable field in '1 0000000g 00000000 0.0 0.0'"),
+        ({3: "1 00000000 -0000001 0.0 0.0"}, "dump line 3: unreadable field in '1 00000000 -0000001 0.0 0.0'"),
+        ({3: "1 00000000 00000000 0.0.0 0.0"}, "dump line 3: unreadable field in '1 00000000 00000000 0.0.0 0.0'"),
+        ({3: "1 00000000 00000000 0.0 nonsense"}, "dump line 3: unreadable field in '1 00000000 00000000 0.0 nonsense'"),
+        ({3: "1 100000000 00000000 0.0 0.0"}, "dump line 3: unreadable field in '1 100000000 00000000 0.0 0.0'"),
+        ({3: "1 00000000 fffffffff 0.0 0.0"}, "dump line 3: unreadable field in '1 00000000 fffffffff 0.0 0.0'"),
+        ({3: "4 00000000 00000000 0.0 0.0"}, "dump line 3: index 4 out of range or repeated"),
+        ({3: "-1 00000000 00000000 0.0 0.0"}, "dump line 3: index -1 out of range or repeated"),
+        ({3: "99999999999999999999 00000000 00000000 0.0 0.0"},
+         "dump line 3: index 99999999999999999999 out of range or repeated"),
+        ({4: "1 00000000 00000000 0.0 0.0"}, "dump line 4: index 1 out of range or repeated"),
+        ({5: None}, "n=2 needs 2^2 amplitude lines, got 3"),
+        ({5: "3 00000000 00000000 0.0 0.0\n4 00000000 00000000 0.0 0.0"}, "n=2 needs 2^2 amplitude lines, got 5"),
+        ({2: "0 40000000 00000000 inf 0.0"}, "cannot quantize non-finite values"),
+        ({4: "2 00000000 00000000 0.0 -nan"}, "cannot quantize non-finite values"),
+        ({4: "2 00000000 00000001 0.0 0.0"}, "dump index 2: hex columns are not the quantized float columns"),
+        # the first disagreeing index, not line, is named
+        ({3: "3 00000000 00000001 0.0 0.0", 5: "1 00000000 00000000 0.5 0.0"},
+         "dump index 1: hex columns are not the quantized float columns"),
+        # the first bad line is named; line errors come before value errors
+        ({3: "1 00000000 00000000 nan 0.0", 4: "2 x 00000000 0.0 0.0", 5: "3 00000000"},
+         "dump line 4: unreadable field in '2 x 00000000 0.0 0.0'"),
+        ({2: "0 40000000 00000000 0.5 0.0", 4: "2 00000000 00000000 inf 0.0"}, "cannot quantize non-finite values"),
+        # blank lines are skipped and not counted
+        ({2: "\n  \t\n0 40000000 00000000 1.0 0.0\n", 4: "\n2 00000000 00000000 0.0"},
+         "dump line 4: expected 5 fields, got 4"),
+        ({1: "\nn=2 arith=fixed\n", 4: None}, "n=2 needs 2^2 amplitude lines, got 3"),
+    ])
+    def test_rejection_table(self, edits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_dump(_edited_dump(edits))
+
+    @pytest.mark.parametrize("edits", [
+        {3: "1 0 00000000 0.0 0.0"},                  # hex without its leading zeros
+        {3: "1 00000000 000000000 0.0 0.0"},          # hex with one leading zero too many
+        {2: "0 0x40000000 00000000 1.0 0.0"},         # hex with a 0x prefix
+        {2: "0 0x400000 00000000 0.00390625 0.0"},    # the same, 8 characters long
+        {2: "0 4000_0000 00000000 1.0 0.0"},          # hex with an underscore
+        {3: "0_1 00000000 00000000 0.0 0.0"},         # index with an underscore
+        {3: "\u0661 00000000 00000000 0.0 0.0"},      # index in Arabic-Indic digits
+        {2: "0 40000000 00000000 1.0_0 0.0"},         # float with an underscore
+        {2: "0 40000000 00000000 \u0661.0 0.0"},      # float in Arabic-Indic digits
+    ])
+    def test_rejects_non_canonical_numerals(self, edits):
+        # int(), int(x, 16) and float() accept these; the reader takes only
+        # plain ASCII numerals and 8-digit hex, as format_dump writes them
+        [(lineno, line)] = edits.items()
+        with pytest.raises(ValueError, match=f"^dump line {lineno}: unreadable field in {re.escape(repr(line))}$"):
+            parse_dump(_edited_dump(edits))
+
+    @pytest.mark.parametrize("arith", [FIXED, FLOAT])
+    def test_writer_matches_per_line_oracle(self, arith):
+        # n=17 crosses eight 2^14-line slices and the 10^4 and 10^5 index widths
+        rng = np.random.default_rng(1717)
+        if arith == FIXED:
+            sv = StateVector.from_complex(oracles.random_state(17, rng), FIXED)
+        else:   # any magnitude, signed zeros and subnormals
+            sv = StateVector(17, FLOAT)
+            sv.planes[:] = rng.normal(size=(2, 1 << 17)) * 10.0 ** rng.integers(-300, 300, size=(2, 1 << 17))
+            sv.planes[:, ::5] = 0.0
+            sv.planes[:, 1::5] = -0.0
+            sv.planes[:, 2::5] = 5e-324 * rng.integers(-2 ** 52, 2 ** 52, size=sv.planes[:, 2::5].shape)
+        text = format_dump(sv)
+        values = sv._values()
+        line = "{} {:08x} {:08x} {!r} {!r}\n".format   # the per-line writer format_dump replaced
+        want = f"n=17 arith={arith}\n" + "".join(map(line, range(1 << 17), *fx.to_fixed_array(values).view(np.uint32).tolist(),
+                                                       *values.tolist()))
+        assert text == want
+        assert format_dump(parse_dump(text)) == text
+
+    @pytest.mark.parametrize("edits,words", [
+        ({}, [0x40000000, 0, 0, 0, 0, 0, 0, 0]),
+        ({1: "\n \t\nn=2 arith=fixed", 3: "\n\n1 00000000 00000000 0.0 0.0\n   ",
+          5: "3\t00000000  00000000 \t0.0 0.0 "}, [0x40000000, 0, 0, 0, 0, 0, 0, 0]),
+        ({4: "2 0000000A 3FFFFFFF 9.313225746154785e-09 0.9999999990686774"},
+         [0x40000000, 0, 0xA, 0, 0, 0, 0x3FFFFFFF, 0]),
+        ({2: "3 00000000 c0000000 0.0 -1.0", 5: "0 40000000 00000000 1 +0"},
+         [0x40000000, 0, 0, 0, 0, 0, 0, 0xC0000000]),
+    ])
+    def test_accepted_variants(self, edits, words):
+        # blank lines, tabs and runs of spaces, upper-case hex, signs, short floats
+        assert parse_dump(_edited_dump(edits)).planes.view(np.uint32).ravel().tolist() == words
+
+
+class TestDumpFormatSmallPieces(TestDumpFormat):
+    """TestDumpFormat with the text split one line at a time and written in
+    4-line chunks, so pieces hold the header alone, blank lines alone, or
+    one body line."""
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(engine, "_DUMP_PIECE", 1)
+        monkeypatch.setattr(engine, "_DUMP_SLICE", 4)
+
+    # run once above: the property test sets both sizes itself, and 2^17
+    # one-line pieces make the oracle test slow
+    test_format_parse_format_identical = test_writer_matches_per_line_oracle = None
