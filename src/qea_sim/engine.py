@@ -16,7 +16,7 @@ space can be sharded across workers with bit-identical results.
 
 run_circuit prepares a plan once per run (_prepare): every gate classified
 and quantized, views and kernel buffers set up, before the first update.
-apply_1q and apply_cx are one-gate uses of the same steps.
+apply_1q and apply_cx are one-gate plans: all three run through _execute.
 """
 from __future__ import annotations
 
@@ -65,18 +65,6 @@ def _rounded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarra
     return fx.round_q60_array(np.add(a, b, out=a), out=out, carry=b)
 
 
-def _wrapping_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.add(a, b, out=out, casting="unsafe")
-
-
-def _float_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.add(a, b, out=out)
-
-
-def _same(x):
-    return x
-
-
 @dataclass(frozen=True)
 class _Arith:
     """What the shared code needs to know about one arithmetic variant."""
@@ -91,10 +79,10 @@ class _Arith:
 
 _ARITH = {
     FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum),
-    FLOAT: _Arith(np.float64, 1.0, _same, np.float64, _float_add, _float_add),
+    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, np.add),
 }
 # the fixed steps of a run that _clamp_free proves cannot saturate: same bits
-_CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_sum=_wrapping_sum)
+_CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_sum=partial(np.add, casting="unsafe"))
 
 
 def check_fits(n: int, arith: str) -> None:
@@ -291,19 +279,6 @@ def _operands(words: np.ndarray, sparse: bool, wide: type) -> tuple[np.ndarray, 
             (flat.take(im, axis=1) * signs).reshape(shape[:-3] + (2, 1, 1)))
 
 
-def _tile_parts(n: int, workers: int) -> tuple[int, list[range]]:
-    """Pairs per tile of an n-qubit state, and its tiles cut into parts."""
-    pairs = 1 << (n - 1)
-    tile = min(_TILE, pairs)
-    return tile, _split(pairs // tile, workers)
-
-
-def _tile_words(arith: _Arith, sparse: bool, tile: int) -> int:
-    """Buffer row length of the one-qubit kernel: product and scratch of
-    1 or 2 terms x 2 halves x 2 planes, and the widened tile."""
-    return tile * ((8 if sparse else 16) + (4 if arith.dtype is not arith.wide else 0))
-
-
 def _tile_kernel(state: StateVector, arith: _Arith, target: int, sparse: bool, tile: int, rows) -> tuple:
     """What _one_qubit needs for gates of one mode on one target: the state
     viewed as tiles, and per part the arrays it uses, prefixes of its row;
@@ -346,13 +321,8 @@ def _swap_parts(n: int, control: int, target: int, workers: int) -> list[range]:
     for q in (control, target):
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for n={n}")
-    # at most one part per apply_1q tile: no part has less than a tile's work
+    # at most one part per one-qubit tile: no part has less than a tile's work
     return _split(1 << min(control, target), min(workers, (1 << (n - 1)) // _TILE))
-
-
-def _swap_words(n: int, control: int, target: int, parts: list[range]) -> int:
-    """State words of the largest part's temporary: both planes of its quarter."""
-    return 2 * len(parts[0]) * ((1 << (n - 2)) >> min(control, target))
 
 
 def _swap_views(state: StateVector, control: int, target: int, parts: list[range], rows) -> list:
@@ -371,10 +341,8 @@ def _swap_views(state: StateVector, control: int, target: int, parts: list[range
     return views
 
 
-# Bound on the growth of a quantized gate's 2-norm, ||U_q||_2 - 1 (see
-# _saturation_bound), and words per float64 chunk of _raw_norm's sum: a
-# 128 KiB chunk; 2^16 words raised an n=16 run's peak RSS by about 1 MB.
-_ETA = 2.0 ** -28
+# Words per float64 chunk of _raw_norm's sum: a 128 KiB chunk; 2^16 words
+# raised an n=16 run's peak RSS by about 1 MB.
 _NORM_CHUNK = 1 << 14
 
 
@@ -393,117 +361,149 @@ def _raw_norm(planes: np.ndarray) -> float:
     return math.sqrt(math.fsum(sums))
 
 
-def _saturation_bound(norm: float, gates: int, words: int) -> float:
-    """B = (1+eta)^G (nu + G sqrt(M)): a bound on the modulus of every
-    amplitude, in raw words, before each gate of a fixed-point run.
+def _gate_norms(words: np.ndarray) -> np.ndarray:
+    """s_g per one-qubit gate: an upper bound on the 2-norm of the matrix
+    its raw words give.  With rows x = (u00, u01), y = (u10, u11), p =
+    |x|^2, r = |y|^2 and q = <x, y>, the squared 2-norm, the larger
+    eigenvalue of U U^H, is (p + r)/2 + hypot((p - r)/2, |q|): (F + sqrt(F^2
+    - 4 |det U|^2))/2 for F = p + r, without cancellation under the root.
+    Words scaled by 2^-30 are exact, each quantity sums at most four of
+    their products, and the result is at least (p + r)/2, so it is within
+    a relative 2^-46; raising its root by 2^-40 covers that and roundings.
+    """
+    w = words.reshape(-1, 8) / fx.RAW_ONE
+    u = w.view(np.complex128)
+    p, r = (w * w).reshape(-1, 2, 4).sum(axis=2).T
+    q = np.abs(u[:, 0] * u[:, 2].conj() + u[:, 1] * u[:, 3].conj())
+    return np.sqrt((p + r) / 2 + np.hypot((p - r) / 2, q)) * (1.0 + 2.0 ** -40)
 
-    nu is `norm`, the state's 2-norm in raw words before the run, raised
-    by a relative 2^-20 for _raw_norm's float error; G is `gates`, the
-    run's one-qubit gate count, and M is `words`, 2^(n+1).
+
+def _saturation_bound(norm: float, gates: int, words: int, growth: float = 1.0) -> float:
+    """B = P (nu + G sqrt(M)): a bound on the state's 2-norm, so on every
+    amplitude's modulus, in raw words, before each gate of a fixed run.
+
+    nu is `norm`, the state's raw 2-norm before the run, raised by 2^-20
+    relative for _raw_norm's float error; G is `gates`, the run's one-qubit
+    gate count; M is `words`, 2^(n+1); P is `growth`, the product of
+    max(1, s_g) over those gates (_gate_norms).
 
     Proof, by induction over the gates, for a run in which no word has
-    clamped yet.  A quantized gate matrix U_q has each of its 8 words
-    within 2^-31 of those of U, which is unitary to float precision, so
-    ||U_q - U||_2 <= ||U_q - U||_F <= sqrt(8) 2^-31 < eta = 2^-28, hence
-    ||U_q||_2 <= 1 + eta and every entry |u_ij| <= 1 + eta.  Take a state
-    x before a one-qubit gate and a pair (x_0, x_1) of it.  A sparse
-    output word rounds one component of u_jj x_j once; a dense one adds
-    two rounded components, of u_i0 x_0 and u_i1 x_1, whose exact sum is a
-    component of (U_q (x_0, x_1))_i.  Each rounding moves a value by at
-    most 1/2, so every product the gate narrows and every sum it writes is
-    at most (1+eta) ||x|| + 1 in modulus, and the state after the gate is
-    U_q x + e with every word of e at most 1: ||x'|| <= (1+eta) ||x|| +
-    sqrt(M).  CX permutes words and keeps the norm.  After k one-qubit
-    gates, ||x|| <= (1+eta)^k nu + sqrt(M) sum_{i<k} (1+eta)^i <= B.  So
-    if (1+eta) B + 1 <= RAW_MAX, no product or sum of the run reaches a
-    clamp (RAW_MIN = -RAW_MAX - 1), and rounding alone gives the same bits.
-    _clamp_free asks for (1+eta) B + 2, one raw unit more, which covers
-    the float rounding of B itself.  B is monotone in nu and G, and
-    infinite where the power overflows.
+    clamped yet.  Take a state x before a one-qubit gate U and a pair
+    (x_0, x_1) of it.  A sparse output word rounds one component of
+    u_jj x_j once; a dense one adds two rounded components, of u_i0 x_0
+    and u_i1 x_1, whose exact sum is a component of (U (x_0, x_1))_i.
+    Every |u_ij| <= ||U||_2 <= s_g and a rounding moves a value by at most
+    1/2, so every product the gate narrows and every sum it writes is at
+    most s_g ||x|| + 1, and the state after it is U x + e with every word
+    of e at most 1: ||x'|| <= s_g ||x|| + sqrt(M).  CX permutes words.
+    After k one-qubit gates, as no partial product of the s_g exceeds P,
+    ||x|| <= P nu + k P sqrt(M) <= B.  With s the largest s_g, if s B + 1
+    <= RAW_MAX no product or sum of the run reaches a clamp (RAW_MIN =
+    -RAW_MAX - 1), and rounding alone gives the same bits; _clamp_free asks
+    for s B + 2, one raw unit more, for the float rounding of s B.  Every
+    gate of run_circuit is a quantized unitary, its 8 words within 2^-31
+    of a unitary's (to float precision), so s_g <= 1 + sqrt(8) 2^-31 and,
+    raised, < 1 + 2^-28: B <= (1 + 2^-28)^G (nu + G sqrt(M)).  B is
+    monotone in nu, G and P, and infinite where G sqrt(M) overflows.
     """
     try:
-        growth = (1.0 + _ETA) ** gates
+        spread = gates * math.sqrt(words)
     except OverflowError:
         return math.inf
-    return growth * (norm * (1.0 + 2.0 ** -20) + gates * math.sqrt(words))
+    return growth * (norm * (1.0 + 2.0 ** -20) + spread)
 
 
-def _clamp_free(planes: np.ndarray, gates: int) -> bool:
-    """Whether a fixed-point run of `gates` one-qubit gates on these raw
-    words provably never saturates (_saturation_bound)."""
-    bound = _saturation_bound(_raw_norm(planes), gates, planes.size)
-    return (1.0 + _ETA) * bound + 2.0 <= fx.RAW_MAX
+def _clamp_free(planes: np.ndarray, words: np.ndarray) -> bool:
+    """Whether a fixed run of the gates of these words on these raw state
+    words provably never saturates (_saturation_bound); one without
+    one-qubit gates has no narrow step and makes no norm pass."""
+    if not words.size:
+        return True
+    s = _gate_norms(words)
+    # math.prod rounds at most G - 1 times, each by a relative 2^-53 at most,
+    # and overflows to inf without raising
+    growth = math.prod(np.maximum(s, 1.0).tolist()) * (1.0 + s.size * 2.0 ** -52)
+    bound = _saturation_bound(_raw_norm(planes), s.size, planes.size, growth)
+    return float(s.max()) * bound + 2.0 <= fx.RAW_MAX
 
 
 def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> tuple[list, bool]:
     """A run's plan: one _run_parts argument tuple per gate, and whether
     its fixed-point steps skip saturation (_clamp_free).
 
-    The device loads each gate's context (pe_model.GATE_BYTES) before the
-    amplitude sweep; this is the host's share of that work, done once per
-    run against the state the run updates.  `classes` and `qubits` describe
-    the gates; `words` holds the one-qubit gates' entries in order, as
-    _words lays them out.  Kernel operands come from the words by one
-    indexing per gate mode, tile views once per target and mode, CX views
-    once per (control, target) pair.  Each part of a sharded gate owns one
-    row of a single flat buffer: every tile shape's product, scratch and
-    widened tile, and the CX temporary, are reshaped prefixes of it, so
-    every gate works in the same cache-warm block, not one per tile shape.
-    A fixed-point run whose norm bound proves that no word can saturate
-    runs every one-qubit gate with the _CLAMP_FREE steps, any other run
-    with the clamping ones: one choice for the whole run.
+    The host's share of the device loading each gate's context before the
+    sweep (pe_model.GATE_BYTES), once per run against the state it updates.
+    `classes` and `qubits` describe the gates; `words` holds the one-qubit
+    gates' entries in order, as _words lays them out.  Operands come from
+    the words by one indexing per mode, tile views once per target and
+    mode, CX views once per (control, target).  Tiles of _TILE pairs are
+    the unit of work and of sharding.  Each part owns one row of a single
+    flat buffer, and every tile shape's product, scratch and widened tile,
+    and the CX temporary, are reshaped prefixes of it: one cache-warm block.
+    A fixed run whose bound proves that no word can saturate runs every
+    one-qubit gate with the _CLAMP_FREE steps, any other the clamping ones.
     """
     n = state.n
     arith = _ARITH[state.arith]
-    tile, tile_parts = _tile_parts(n, workers)
+    pairs = 1 << (n - 1)
+    tile = min(_TILE, pairs)
+    tile_parts = _split(pairs // tile, workers)
     ones = {(qs[0], cls == SPARSE) for cls, qs in zip(classes, qubits) if cls != CX}
     swaps = {qs: _swap_parts(n, *qs, workers) for cls, qs in zip(classes, qubits) if cls == CX}
 
-    # the flat buffer: one row per part, as long as the longest prefix
+    # the flat buffer: one row per part, as long as the longest prefix: a
+    # product and a scratch of 1 or 2 terms x 2 halves x 2 planes and a
+    # widened tile per kernel, both planes of a CX part's quarter per swap
+    widened = 4 if arith.dtype is not arith.wide else 0
     per_wide = np.dtype(arith.wide).itemsize // np.dtype(arith.dtype).itemsize
-    lengths = [_tile_words(arith, sparse, tile) for _, sparse in ones]
-    lengths += [-(-_swap_words(n, *qs, parts) // per_wide) for qs, parts in swaps.items()]
+    lengths = [tile * ((8 if sparse else 16) + widened) for _, sparse in ones]
+    lengths += [-(-2 * len(parts[0]) * ((1 << (n - 2)) >> min(qs)) // per_wide) for qs, parts in swaps.items()]
     counts = [len(tile_parts)] * bool(ones) + [len(parts) for parts in swaps.values()]
     buf = np.empty((max(counts, default=1), max(lengths, default=0)), arith.wide)
 
-    clamp_free = state.arith == FIXED and _clamp_free(state.planes, len(words))
+    clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
     steps_arith = _CLAMP_FREE if clamp_free else arith
     kernels = {key: _tile_kernel(state, steps_arith, *key, tile, buf[:len(tile_parts)]) for key in ones}
     swappers = {qs: (parts, _swap_views(state, *qs, parts, buf.view(arith.dtype))) for qs, parts in swaps.items()}
     operands = {sparse: _operands(words, sparse, arith.wide) for sparse in {sparse for _, sparse in ones}}
-    steps = []
-    j = 0
+    steps, j = [], 0
     for cls, qs in zip(classes, qubits):
         if cls == CX:
             steps.append((_swap, *swappers[qs]))
-        else:
-            sparse = cls == SPARSE
-            ur, sgn = operands[sparse]
-            steps.append((_one_qubit, tile_parts, kernels[qs[0], sparse], ur[j], sgn[j]))
-            j += 1
+            continue
+        ur, sgn = operands[cls == SPARSE]
+        steps.append((_one_qubit, tile_parts, kernels[qs[0], cls == SPARSE], ur[j], sgn[j]))
+        j += 1
     return steps, clamp_free
 
 
+def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> bool:
+    """Run the gates' plan (_prepare) on the state; returns its clamp_free."""
+    steps, clamp_free = _prepare(state, classes, qubits, words, workers)
+    for step in steps:
+        _run_parts(*step)
+    return clamp_free
+
+
 def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> StateVector:
-    """In-place single-qubit update at stride 2^(n-target-1): a one-gate
-    use of the plan's steps.  The pair space is cut into tiles of _TILE
-    pairs, the unit of work and of sharding; _one_qubit is the kernel.
-    """
-    arith = _ARITH[state.arith]
-    sparse = app.mode == SPARSE
-    tile, parts = _tile_parts(state.n, workers)
-    rows = np.empty((len(parts), _tile_words(arith, sparse, tile)), arith.wide)
-    ur, sgn = _operands(np.array([*app.u00, *app.u01, *app.u10, *app.u11], arith.wide), sparse, arith.wide)
-    _run_parts(_one_qubit, parts, _tile_kernel(state, arith, app.target, sparse, tile, rows), ur[0], sgn[0])
+    """In-place single-qubit update at stride 2^(n-target-1), a one-gate
+    plan (_execute).  On a fixed-point state every entry must be a pair of
+    raw Q2.30 integer words of modulus at most 2 (re^2 + im^2 <= 2^62), so
+    each sum of the kernel's 64-bit cross terms stays within 2^62.5;
+    ValueError otherwise."""
+    entries = (app.u00, app.u01, app.u10, app.u11)
+    if state.arith == FIXED:
+        raw = all(isinstance(v, (int, np.integer)) and fx.RAW_MIN <= v <= fx.RAW_MAX for u in entries for v in u)
+        if not raw or max(int(re) ** 2 + int(im) ** 2 for re, im in entries) > 1 << 62:
+            raise ValueError(f"fixed-point gate entries must be raw Q2.30 words of modulus at most 2, got {entries}")
+    _execute(state, [app.mode], [(app.target,)], np.array(entries, _ARITH[state.arith].wide), workers)
     return state
 
 
 def apply_cx(state: StateVector, control: int, target: int, workers: int = 1) -> StateVector:
     """In-place CX: swap amplitude pairs with control bit 1 across the
-    target bit.  A one-gate use of the plan's steps."""
-    parts = _swap_parts(state.n, control, target, workers)
-    rows = np.empty((len(parts), _swap_words(state.n, control, target, parts)), state.planes.dtype)
-    _run_parts(_swap, parts, _swap_views(state, control, target, parts, rows))
+    target bit.  A one-gate plan (_execute), which has no words."""
+    _execute(state, [CX], [(control, target)], np.empty(0, state.planes.dtype), workers)
     return state
 
 
@@ -532,12 +532,9 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     classes = [classify(g) for g in tc.gates]
     matrices = [gate_matrix(g) for g, cls in zip(tc.gates, classes) if cls != CX]
     words = _words(np.array(matrices, np.complex128).reshape(-1, 2, 2), state.arith)
-    steps, clamp_free = _prepare(state, classes, [g.qubits for g in tc.gates], words, workers)
-    for step in steps:
-        _run_parts(*step)
-    stats = RunStats(classes.count(SPARSE), classes.count(DENSE), classes.count(CX), clamp_free=clamp_free)
-    stats.wall_time_s = time.perf_counter() - t0
-    return state, stats
+    clamp_free = _execute(state, classes, [g.qubits for g in tc.gates], words, workers)
+    counts = classes.count(SPARSE), classes.count(DENSE), classes.count(CX)
+    return state, RunStats(*counts, time.perf_counter() - t0, clamp_free)
 
 
 def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -> StateVector:
@@ -741,7 +738,7 @@ def parse_dump(text: str) -> StateVector:
     head = next((lines[0] for lines in _text_pieces(text) if lines), "")
     try:
         fields = dict(part.split("=", 1) for part in head.split())
-        n, arith = int(fields["n"]), fields["arith"]
+        n, arith = _numeral(fields["n"], int), fields["arith"]
     except (KeyError, ValueError):
         raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {head!r}") from None
     count = sum(map(len, _text_pieces(text))) - 1

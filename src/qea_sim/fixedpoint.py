@@ -172,9 +172,10 @@ def cmul(a: FixedComplex, b: FixedComplex) -> FixedComplex:
 # Vectorized raw-word helpers for the state-vector kernels.
 #
 # The rounding and saturation helpers operate on int64 arrays of wide
-# words.  The kernels multiply state words by unitary gate entries
-# (|raw| <= 2^30), which bounds each cross term by 2^61 and the two-term
-# sum by 2^62, safely inside int64.
+# words.  The kernels multiply 32-bit state words by gate entries of
+# modulus at most 2 (re^2 + im^2 <= 2^62 raw, which engine.apply_1q
+# checks; quantized unitaries are within 2^-28 of 1), so each two-term
+# sum of cross terms is at most 2^31 * 2^31.5 = 2^62.5, inside int64.
 # ---------------------------------------------------------------------------
 
 def to_fixed_array(x: np.ndarray) -> np.ndarray:

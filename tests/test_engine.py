@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from qea_sim import engine
 from qea_sim import fixedpoint as fx
-from qea_sim.circuit import DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, transpile
+from qea_sim.circuit import DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, gate_matrix, transpile
 from qea_sim.engine import (FIXED, FLOAT, GateApplication, StateVector,
                             apply_1q, apply_1q_flagloop, apply_cx,
                             format_dump, make_application, parse_dump,
@@ -132,6 +132,31 @@ class TestApply1q:
     def test_sparse_mode_rejects_offdiagonal(self):
         with pytest.raises(ValueError):
             GateApplication((1.0, 0.0), (0.1, 0.0), (0.0, 0.0), (1.0, 0.0), 0, SPARSE)
+
+    @pytest.mark.parametrize("entry", [(fx.RAW_MIN, fx.RAW_MIN), (1 << 40, 0), (0, -(1 << 40)), (0, 1 << 31),
+                                       (fx.RAW_ONE // 2, 0.5), (np.int64(fx.RAW_MIN), np.int64(-1))])
+    @pytest.mark.parametrize("mode", [SPARSE, DENSE])
+    def test_fixed_entries_beyond_modulus_two_rejected(self, entry, mode):
+        # (RAW_MIN, RAW_MIN), -2-2i, on the word pair (RAW_MIN, RAW_MIN) sums
+        # the cross terms to 2^63, one past int64; a word beyond the Q2.30
+        # range, 2^31 (modulus 2) included, or a float is not a raw word at
+        # all.  Nothing is written.
+        sv = StateVector(1, FIXED)
+        sv.planes[:] = fx.RAW_MIN
+        with pytest.raises(ValueError, match="modulus at most 2"):
+            apply_1q(sv, GateApplication(entry, (0, 0), (0, 0), (fx.RAW_ONE, 0), 0, mode))
+        assert (sv.planes == fx.RAW_MIN).all()
+
+    @pytest.mark.parametrize("mode", [SPARSE, DENSE])
+    def test_fixed_entries_of_modulus_two_accepted(self, mode):
+        # -2 on -2-2i: both components saturate, as in the flag loop
+        a, b = StateVector(1, FIXED), StateVector(1, FIXED)
+        a.planes[:] = b.planes[:] = fx.RAW_MIN
+        app = GateApplication((fx.RAW_MIN, 0), (0, 0), (0, 0), (np.int32(fx.RAW_MIN), np.int32(0)), 0, mode)
+        apply_1q(a, app)
+        apply_1q_flagloop(b, app)
+        assert (a.planes == fx.RAW_MAX).all()
+        assert a.planes.tobytes() == b.planes.tobytes()
 
     def test_target_out_of_range(self):
         sv = StateVector.zero(2)
@@ -358,6 +383,55 @@ class TestClampFree:
         assert stats.clamp_free
         assert np.abs(sv.planes).max() == w
         assert sv.planes.tobytes() == _gate_by_gate(want, tc).planes.tobytes()
+
+    def test_non_unitary_gates_saturate(self):
+        # apply_1q takes any entries: the bound must use the gates' own
+        # norms, since one near 2 takes a state of norm 1.2-1.5 past RAW_MAX
+        # while a quantized unitary's bound would let the words wrap
+        dense = GateApplication((fx.RAW_MAX, 0), (0, 0), (0, 0), (fx.RAW_ONE, 0), 0, DENSE)
+        u00 = 1.9 * np.exp(0.2j) * fx.RAW_ONE
+        sparse = GateApplication((round(u00.real), round(u00.imag)), (0, 0), (0, 0), (fx.RAW_ONE, 0), 0, SPARSE)
+        x = 1.15 * np.exp(-0.2j) * fx.RAW_ONE
+        for app, n, amps in ((dense, 1, [[3 << 29, 0], [0, 0]]),
+                             (sparse, 2, [[round(x.real), 0, 0, 3 << 28], [round(x.imag), 0, 0, 3 << 27]])):
+            a, b = StateVector(n, FIXED), StateVector(n, FIXED)
+            a.planes[:] = b.planes[:] = amps
+            assert 1.1 < math.sqrt(a.norm_sq()) < 1.6
+            apply_1q(a, app)
+            apply_1q_flagloop(b, app)
+            assert a.planes[0, 0] == fx.RAW_MAX
+            assert a.planes.tobytes() == b.planes.tobytes()
+
+    def test_gate_norms_bound_the_matrix_norm(self):
+        # s_g is at least the 2-norm of the words' matrix, from full-range
+        # words to quantized unitaries, and below 1 + 2^-28 for the latter
+        rng = np.random.default_rng(73)
+        full = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=(2000, 4, 2))
+        full[0], full[1] = [fx.RAW_MIN, 0], 0        # all entries -2; the zero matrix
+        full[2] = [[fx.RAW_ONE, 0], [0, 0], [0, 0], [0, 1]]
+        gates = [Gate(kind, (0,), angle) for kind in (GateKind.RX, GateKind.RY, GateKind.RZ)
+                 for angle in rng.uniform(-7.0, 7.0, 300)] + [Gate(GateKind.H, (0,)), Gate(GateKind.S, (0,))]
+        unitary = engine._words(np.array([gate_matrix(g) for g in gates]), FIXED)
+        for words in (full, unitary):
+            m = words.astype(np.float64) / fx.RAW_ONE
+            exact = np.linalg.svd((m[..., 0] + 1j * m[..., 1]).reshape(-1, 2, 2), compute_uv=False)[:, 0]
+            s = engine._gate_norms(words)
+            assert (s >= exact * (1.0 + 2.0 ** -42)).all()
+            assert (s <= exact * (1.0 + 2.0 ** -39) + 2.0 ** -60).all()
+        assert engine._gate_norms(unitary).max() < 1.0 + 2.0 ** -28
+
+    def test_cx_only_runs_are_clamp_free(self):
+        # a permutation cannot saturate: full-range words, no norm pass
+        rng = np.random.default_rng(79)
+        sv = StateVector(3, FIXED)
+        sv.planes[:] = rng.choice([fx.RAW_MIN, fx.RAW_MAX], size=(2, 8))
+        want = sv.planes[:, [0, 1, 2, 3, 6, 7, 4, 5]]
+        with mock.patch.object(engine, "_raw_norm", side_effect=AssertionError):
+            _, stats = run_circuit(transpile(Circuit(3, (Gate(GateKind.CX, (0, 1)),))), sv)
+            apply_cx(sv, 0, 1)
+            apply_cx(sv, 0, 1)
+        assert stats.clamp_free
+        assert sv.planes.tobytes() == want.tobytes()
 
     def test_bound_monotone_in_norm_and_gates(self):
         norms = [0.0, 1.0, 2.0 ** 20, 2.0 ** 30, 2.0 ** 31, 1e300]
@@ -674,6 +748,9 @@ class TestDumpFormat:
         ({2: "\n  \t\n0 40000000 00000000 1.0 0.0\n", 4: "\n2 00000000 00000000 0.0"},
          "dump line 4: expected 5 fields, got 4"),
         ({1: "\nn=2 arith=fixed\n", 4: None}, "n=2 needs 2^2 amplitude lines, got 3"),
+        # the header's n is a plain ASCII numeral, as the body's fields are
+        ({1: "n=\u0662 arith=fixed"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=\u0662 arith=fixed'"),
+        ({1: "n=0_2 arith=fixed"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=0_2 arith=fixed'"),
     ])
     def test_rejection_table(self, edits, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
