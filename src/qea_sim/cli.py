@@ -132,6 +132,7 @@ def cmd_run(args) -> int:
         _atomic_write(args.circuit_out, json.dumps(circuit_to_dict(tc), sort_keys=True) + "\n")
     print(f"{name}: n={circ.n} arith={args.arith} transpiled_gates={len(tc.gates)} "
           f"(sparse={stats.sparse_gates} dense={stats.dense_gates} cx={stats.cx_gates}) "
+          f"swept_amps={stats.swept_amps} of {len(tc.gates) << circ.n} "
           f"wall_time_s={stats.wall_time_s:.6f} global_phase={tc.global_phase:.12g}",
           file=info)
     return 0

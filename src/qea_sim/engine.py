@@ -17,6 +17,15 @@ space can be sharded across workers with bit-identical results.
 run_circuit prepares a plan once per run (_prepare): every gate classified
 and quantized, views and kernel buffers set up, before the first update.
 apply_1q and apply_cx are one-gate plans: all three run through _execute.
+
+In fixed point zero is absorbing: a product with a zero word rounds to
+exactly 0, and saturating 0 gives 0.  So a fixed run tracks classical
+qubits, those on which every nonzero amplitude agrees (_track), and
+sweeps only a compact state of the others' amplitudes, with the same bits
+as a full sweep, by proof rather than by tolerance.  Float runs sweep
+every amplitude: IEEE products of zeros keep a sign, which the dump
+prints.  RunStats.swept_amps counts what a run swept; the device model
+(pe_model) still sweeps every amplitude of every gate.
 """
 from __future__ import annotations
 
@@ -75,11 +84,13 @@ class _Arith:
     wide: type                  # kernel intermediate
     narrow_product: Callable    # (a, b, out): out = narrowed a + b, the two terms of a product
     narrow_sum: Callable        # (a, b, out): out = narrowed a + b, two narrowed products
+    zero_absorbing: bool        # every product with a zero word is the same zero: runs skip them (_execute)
 
 
+# float is not zero-absorbing: IEEE products of zeros keep a sign, which the dump prints
 _ARITH = {
-    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum),
-    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, np.add),
+    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum, True),
+    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, np.add, False),
 }
 # the fixed steps of a run that _clamp_free proves cannot saturate: same bits
 _CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_sum=partial(np.add, casting="unsafe"))
@@ -284,8 +295,6 @@ def _tile_kernel(state: StateVector, arith: _Arith, target: int, sparse: bool, t
     viewed as tiles, and per part the arrays it uses, prefixes of its row;
     `arith` is the state's variant, or _CLAMP_FREE."""
     n = state.n
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for n={n}")
     stride = 1 << (n - target - 1)
     if stride >= tile:   # a tile is part of one block's offset range
         view = state.planes.reshape(2, 1 << target, 2, stride // tile, tile).transpose(1, 3, 2, 0, 4)[..., None, :]
@@ -316,24 +325,20 @@ def _tile_kernel(state: StateVector, arith: _Arith, target: int, sparse: bool, t
 
 def _swap_parts(n: int, control: int, target: int, workers: int) -> list[range]:
     """CX's blocks (the indices above both its bits) cut into parts."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for n={n}")
     # at most one part per one-qubit tile: no part has less than a tile's work
     return _split(1 << min(control, target), min(workers, (1 << (n - 1)) // _TILE))
 
 
-def _swap_views(state: StateVector, control: int, target: int, parts: list[range], rows) -> list:
-    """Per part: the two quarters CX swaps, and a temporary, a prefix of its row."""
+def _swap_views(state: StateVector, control: int, target: int, value: int, parts: list[range], rows) -> list:
+    """Per part: the two quarters CX swaps where the control's stored bit is
+    `value`, and a temporary, a prefix of its row."""
     n = state.n
     bc, bt = n - 1 - control, n - 1 - target
     hi, lo = max(bc, bt), min(bc, bt)
     # axis layout: (plane, pre, bit hi, mid, bit lo, post)
     v = state.planes.reshape(2, 1 << (n - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
-    # control the high bit: swap lo 0 <-> lo 1 where hi = 1; else hi 0 <-> hi 1 where lo = 1
-    (ah, al), (bh, bl) = ((1, 0), (1, 1)) if bc > bt else ((0, 1), (1, 1))
+    # control the high bit: swap lo 0 <-> lo 1 where hi = value; else hi 0 <-> hi 1 where lo = value
+    (ah, al), (bh, bl) = ((value, 0), (value, 1)) if bc > bt else ((0, value), (1, value))
     views = []
     for r, p in zip(rows, parts):
         a, b = v[:, p.start:p.stop, ah, :, al], v[:, p.start:p.stop, bh, :, bl]
@@ -349,15 +354,21 @@ _NORM_CHUNK = 1 << 14
 def _raw_norm(planes: np.ndarray) -> float:
     """2-norm of the raw words, within a relative 2^-38 of the exact one.
 
-    Each chunk's sum of squares is a float64 dot product of C = 2^14 words,
-    off by at most a relative C * 2^-53 (the terms are nonnegative), and
-    fsum adds the chunks exactly, so no state-sized temporary is made.
+    Each chunk of C = 2^14 words is copied into one float64 buffer and its
+    sum of squares taken by einsum, which sums in this thread, in some
+    order, with no BLAS call.  Every square rounds once and every add once,
+    each by a relative 2^-53, so for nonnegative terms a chunk's sum is off
+    by at most a relative (C + 1) 2^-53 < 2^-38.9 in any order; fsum adds
+    the chunks exactly and rounds once, and the root halves the relative
+    error.  No state-sized temporary is made.
     """
     flat = planes.reshape(-1)
+    chunk = np.empty(min(_NORM_CHUNK, flat.size))
     sums = []
     for lo in range(0, flat.size, _NORM_CHUNK):
-        chunk = flat[lo:lo + _NORM_CHUNK].astype(np.float64)
-        sums.append(float(np.dot(chunk, chunk)))
+        part = chunk[:min(_NORM_CHUNK, flat.size - lo)]
+        np.copyto(part, flat[lo:lo + _NORM_CHUNK])
+        sums.append(float(np.einsum("i,i->", part, part)))
     return math.sqrt(math.fsum(sums))
 
 
@@ -400,7 +411,11 @@ def _saturation_bound(norm: float, gates: int, words: int, growth: float = 1.0) 
     ||x|| <= P nu + k P sqrt(M) <= B.  With s the largest s_g, if s B + 1
     <= RAW_MAX no product or sum of the run reaches a clamp (RAW_MIN =
     -RAW_MAX - 1), and rounding alone gives the same bits; _clamp_free asks
-    for s B + 2, one raw unit more, for the float rounding of s B.  Every
+    for s B + 2, one raw unit more, for the float rounding of s B.  A run
+    that tracks classical qubits (_execute) decides once, from the full
+    state and every word; its compact steps compute, from the same
+    products, the words of the full run that can be nonzero, the rest
+    being exact zeros, so the bound covers them too.  Every
     gate of run_circuit is a quantized unitary, its 8 words within 2^-31
     of a unitary's (to float precision), so s_g <= 1 + sqrt(8) 2^-31 and,
     raised, < 1 + 2^-28: B <= (1 + 2^-28)^G (nu + G sqrt(M)).  B is
@@ -427,21 +442,23 @@ def _clamp_free(planes: np.ndarray, words: np.ndarray) -> bool:
     return float(s.max()) * bound + 2.0 <= fx.RAW_MAX
 
 
-def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> tuple[list, bool]:
-    """A run's plan: one _run_parts argument tuple per gate, and whether
-    its fixed-point steps skip saturation (_clamp_free).
+def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int,
+             clamp_free: bool) -> list:
+    """A plan: one _run_parts argument tuple per gate.
 
     The host's share of the device loading each gate's context before the
-    sweep (pe_model.GATE_BYTES), once per run against the state it updates.
-    `classes` and `qubits` describe the gates; `words` holds the one-qubit
-    gates' entries in order, as _words lays them out.  Operands come from
-    the words by one indexing per mode, tile views once per target and
-    mode, CX views once per (control, target).  Tiles of _TILE pairs are
-    the unit of work and of sharding.  Each part owns one row of a single
-    flat buffer, and every tile shape's product, scratch and widened tile,
-    and the CX temporary, are reshaped prefixes of it: one cache-warm block.
-    A fixed run whose bound proves that no word can saturate runs every
-    one-qubit gate with the _CLAMP_FREE steps, any other the clamping ones.
+    sweep (pe_model.GATE_BYTES), once per plan against the state it
+    updates.  `classes` and `qubits` describe the gates, a CX's qubits as
+    (control, target, the control's stored value it swaps at); `words`
+    holds the one-qubit gates' entries in order, as _words lays them out.
+    Operands come from the words by one indexing per mode, tile views once
+    per target and mode, CX parts once per (control, target) and views once
+    per (control, target, value).  Tiles of _TILE pairs are the unit of
+    work and of sharding.  Each part owns one row of a single flat buffer,
+    and every tile shape's product, scratch and widened tile, and the CX
+    temporary, are reshaped prefixes of it: one cache-warm block.  A
+    clamp-free plan (_clamp_free) runs every one-qubit gate with the
+    _CLAMP_FREE steps, any other the clamping ones.
     """
     n = state.n
     arith = _ARITH[state.arith]
@@ -449,7 +466,8 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     tile = min(_TILE, pairs)
     tile_parts = _split(pairs // tile, workers)
     ones = {(qs[0], cls == SPARSE) for cls, qs in zip(classes, qubits) if cls != CX}
-    swaps = {qs: _swap_parts(n, *qs, workers) for cls, qs in zip(classes, qubits) if cls == CX}
+    swaps = {qs for cls, qs in zip(classes, qubits) if cls == CX}
+    swap_parts = {qs[:2]: _swap_parts(n, *qs[:2], workers) for qs in swaps}
 
     # the flat buffer: one row per part, as long as the longest prefix: a
     # product and a scratch of 1 or 2 terms x 2 halves x 2 planes and a
@@ -457,14 +475,14 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     widened = 4 if arith.dtype is not arith.wide else 0
     per_wide = np.dtype(arith.wide).itemsize // np.dtype(arith.dtype).itemsize
     lengths = [tile * ((8 if sparse else 16) + widened) for _, sparse in ones]
-    lengths += [-(-2 * len(parts[0]) * ((1 << (n - 2)) >> min(qs)) // per_wide) for qs, parts in swaps.items()]
-    counts = [len(tile_parts)] * bool(ones) + [len(parts) for parts in swaps.values()]
+    lengths += [-(-2 * len(parts[0]) * ((1 << (n - 2)) >> min(qs)) // per_wide) for qs, parts in swap_parts.items()]
+    counts = [len(tile_parts)] * bool(ones) + [len(parts) for parts in swap_parts.values()]
     buf = np.empty((max(counts, default=1), max(lengths, default=0)), arith.wide)
 
-    clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
     steps_arith = _CLAMP_FREE if clamp_free else arith
     kernels = {key: _tile_kernel(state, steps_arith, *key, tile, buf[:len(tile_parts)]) for key in ones}
-    swappers = {qs: (parts, _swap_views(state, *qs, parts, buf.view(arith.dtype))) for qs, parts in swaps.items()}
+    swappers = {qs: (swap_parts[qs[:2]], _swap_views(state, *qs, swap_parts[qs[:2]], buf.view(arith.dtype)))
+                for qs in swaps}
     operands = {sparse: _operands(words, sparse, arith.wide) for sparse in {sparse for _, sparse in ones}}
     steps, j = [], 0
     for cls, qs in zip(classes, qubits):
@@ -474,15 +492,161 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
         ur, sgn = operands[cls == SPARSE]
         steps.append((_one_qubit, tile_parts, kernels[qs[0], cls == SPARSE], ur[j], sgn[j]))
         j += 1
-    return steps, clamp_free
+    return steps
 
 
-def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> bool:
-    """Run the gates' plan (_prepare) on the state; returns its clamp_free."""
-    steps, clamp_free = _prepare(state, classes, qubits, words, workers)
-    for step in steps:
-        _run_parts(*step)
-    return clamp_free
+def _classical(planes: np.ndarray) -> dict[int, int]:
+    """{qubit: value} for every qubit on which all nonzero amplitudes agree:
+    the bits where the bitwise OR and the bitwise AND of the nonzero indices
+    agree.  One pass over the words: which index rows and which columns of
+    a (2^(n - n//2), 2^(n//2)) grid hold a nonzero amplitude give the high
+    and the low bits.  An all-zero state has every qubit classical (at 0);
+    one whose first and last amplitudes are nonzero has none, without the
+    pass.
+    """
+    if (planes[0, 0] or planes[1, 0]) and (planes[0, -1] or planes[1, -1]):   # all bits 0 and all bits 1 occur
+        return {}
+    n = planes.shape[1].bit_length() - 1
+    low = n // 2
+    grid = np.logical_or(planes[0], planes[1]).reshape(-1, 1 << low)
+    rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
+    if not rows.size:
+        return dict.fromkeys(range(n), 0)
+    ors = int(np.bitwise_or.reduce(rows)) << low | int(np.bitwise_or.reduce(cols))
+    ands = int(np.bitwise_and.reduce(rows)) << low | int(np.bitwise_and.reduce(cols))
+    return {q: ors >> (n - 1 - q) & 1 for q in range(n) if not (ors ^ ands) >> (n - 1 - q) & 1}
+
+
+def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict) -> tuple[list, tuple, tuple]:
+    """The run as stretches on compact states that hold the active qubits'
+    axes only, for a state whose classical qubits are `values`.
+
+    Per qubit the walk keeps whether it is active and a frame bit f_q: the
+    logical bit is the stored bit XOR f_q, and a classical qubit's value
+    is f_q.  A one-qubit gate U on a classical qubit whose column f_q of
+    words has one nonzero entry, in row r, multiplies every stored
+    amplitude by it (a sparse step on any active axis) and sets f_q = r;
+    any other U on a classical qubit activates it first.  On an active
+    qubit with f_q = 1, U runs with its words reversed.  A CX with a
+    classical control flips f_t when f_c = 1 and costs no pass; one with
+    an active control activates a classical target, then swaps where the
+    control's stored bit is 1 XOR f_c.  Activation inserts the qubit's
+    axis with the data at stored bit 0, keeping f_q; a step that needs an
+    axis when none is active activates its target.
+
+    Returns the stretches, each as its steps' classes, their compact
+    qubits, the indices in words.reshape(-1, 2) of the four entries of
+    each one-qubit step (-1 for a zero entry), and the axis position
+    activated after it (None for the last); and the (frame, active
+    qubits) of the start and of the end.  Raises ValueError for a qubit
+    out of range or a CX on one qubit.
+    """
+    frame = [values.get(q, 0) for q in range(n)]
+    rank = {q: i for i, q in enumerate(q for q in range(n) if q not in values)}
+    start = frame[:], tuple(rank)
+    nonzero = words.reshape(-1, 4, 2).any(axis=2).tolist() if values else None
+    stretches = []
+    step_classes, step_qubits, picks = [], [], []
+
+    def activate(q):
+        nonlocal step_classes, step_qubits, picks, rank
+        stretches.append((step_classes, step_qubits, picks, sum(a < q for a in rank)))
+        step_classes, step_qubits, picks = [], [], []
+        rank = {a: i for i, a in enumerate(sorted([*rank, q]))}
+
+    j = -1
+    for cls, qs in zip(classes, qubits):
+        for q in qs:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for n={n}")
+        if cls == CX:
+            c, t = qs
+            if c == t:
+                raise ValueError("control and target must differ")
+            if c not in rank:
+                frame[t] ^= frame[c]
+                continue
+            if t not in rank:
+                activate(t)
+            step_classes.append(CX)
+            step_qubits.append((rank[c], rank[t], 1 ^ frame[c]))
+            continue
+        j += 1
+        (q,) = qs
+        f = frame[q]
+        if q not in rank:
+            upper, lower = nonzero[j][f], nonzero[j][2 + f]
+            if upper != lower:   # column f has one nonzero entry, in row r
+                r = int(lower)
+                if not rank:
+                    activate(q)
+                entry = 4 * j + 2 * r + f
+                step_classes.append(SPARSE)
+                step_qubits.append((0,))
+                picks += entry, -1, -1, entry
+                frame[q] = r
+                continue
+            activate(q)
+        step_classes.append(cls)
+        step_qubits.append((rank[q],))
+        picks += (4 * j + 3, 4 * j + 2, 4 * j + 1, 4 * j) if f else (4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3)
+    stretches.append((step_classes, step_qubits, picks, None))
+    return stretches, start, (frame, tuple(rank))
+
+
+def _frame_view(planes: np.ndarray, frame: list, active: tuple) -> np.ndarray:
+    """The amplitudes a compact state holds, as a view of the full planes
+    with one axis per active qubit: each classical axis indexed at f_q,
+    each active axis reversed where f_q = 1."""
+    n = len(frame)
+    axes = tuple(slice(None, None, 1 - 2 * f) if q in active else f for q, f in enumerate(frame))
+    return planes.reshape((2,) + (2,) * n)[(slice(None),) + axes]
+
+
+def _compact(planes: np.ndarray, arith: str) -> StateVector:
+    """A state over (2, 2^m) planes, m >= 0, unchecked: a run's compact state."""
+    sv = StateVector.__new__(StateVector)
+    sv.n, sv.arith, sv.planes = planes.shape[1].bit_length() - 1, arith, planes
+    return sv
+
+
+def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> tuple[bool, int]:
+    """Run the gates on the state in place; returns the run's clamp_free
+    and the amplitudes its steps swept.
+
+    Clamp-freedom is one decision per run (_clamp_free), from the full
+    state and every word.  In a zero-absorbing arithmetic the run tracks
+    classical qubits (_classical, _track): it gathers the amplitudes that
+    can be nonzero into a compact state, runs each stretch between two
+    activations as one _prepare plan on it, and writes it back through
+    _frame_view, zeroing the rest.  A state without classical qubits runs
+    one plan in place, as does every float run.
+    """
+    arith = _ARITH[state.arith]
+    clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
+    values = _classical(state.planes) if arith.zero_absorbing else {}
+    stretches, start, end = _track(state.n, classes, qubits, words, values)
+    sv = _compact(np.array(_frame_view(state.planes, *start)).reshape(2, -1), state.arith) if values else state
+    # the words' entries and a zero one; without classical qubits every step is its gate, words and all
+    entries = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype))) if values else None
+    swept = 0
+    for step_classes, step_qubits, picks, position in stretches:
+        if step_classes:
+            step_words = entries[picks].reshape(-1, 4, 2) if values else words
+            plan = _prepare(sv, step_classes, step_qubits, step_words, workers, clamp_free)
+            for step in plan:
+                _run_parts(*step)
+            swept += len(plan) << sv.n
+        if position is not None:
+            planes = np.zeros((2, 2 << sv.n), sv.planes.dtype)
+            planes.reshape(2, 1 << position, 2, -1)[:, :, 0] = sv.planes.reshape(2, 1 << position, -1)
+            sv = _compact(planes, state.arith)
+    if values:
+        frame, active = end
+        if len(active) < state.n:
+            state.planes[:] = 0
+        _frame_view(state.planes, frame, active)[...] = sv.planes.reshape((2,) + (2,) * sv.n)
+    return clamp_free, swept
 
 
 def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> StateVector:
@@ -514,6 +678,7 @@ class RunStats:
     cx_gates: int = 0
     wall_time_s: float = 0.0
     clamp_free: bool = False   # a fixed run that proved no word can saturate, so none did
+    swept_amps: int = 0        # amplitudes of the state each executed step ran on, summed over the steps
 
     @property
     def total_gates(self) -> int:
@@ -532,9 +697,9 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     classes = [classify(g) for g in tc.gates]
     matrices = [gate_matrix(g) for g, cls in zip(tc.gates, classes) if cls != CX]
     words = _words(np.array(matrices, np.complex128).reshape(-1, 2, 2), state.arith)
-    clamp_free = _execute(state, classes, [g.qubits for g in tc.gates], words, workers)
+    clamp_free, swept = _execute(state, classes, [g.qubits for g in tc.gates], words, workers)
     counts = classes.count(SPARSE), classes.count(DENSE), classes.count(CX)
-    return state, RunStats(*counts, time.perf_counter() - t0, clamp_free)
+    return state, RunStats(*counts, time.perf_counter() - t0, clamp_free, swept)
 
 
 def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -> StateVector:

@@ -260,6 +260,11 @@ class TestKernelProperty:
 _PLAN_KINDS = _1Q_KINDS + [GateKind.CX]
 
 
+# angles with exact +-pi among them: Rx(pi) and Ry(pi) have diagonal words
+# that quantize to exactly 0, one nonzero entry per column
+_ANGLES = st.one_of(st.sampled_from([math.pi, -math.pi]), st.floats(-7.0, 7.0))
+
+
 @st.composite
 def _circuits(draw, n):
     """1-12 gates of H/S/Rx/Ry/Rz/CX on n qubits, targets drawn per gate, so
@@ -272,7 +277,7 @@ def _circuits(draw, n):
             target = draw(st.integers(0, n - 1).filter(lambda q: q != control))
             gates.append(Gate(kind, (control, target)))
         else:
-            angle = draw(st.floats(-7.0, 7.0)) if kind in PARAMETERIZED else None
+            angle = draw(_ANGLES) if kind in PARAMETERIZED else None
             gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
     return transpile(Circuit(n, tuple(gates)))
 
@@ -328,6 +333,83 @@ class TestPlanProperty:
         assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
         if stats.clamp_free:   # then no word of the flag loop met a clamp
             assert not np.isin(b.planes, [fx.RAW_MIN, fx.RAW_MAX]).any()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           kind=st.sampled_from(["basis", "zero", "block"]),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_sparse_inputs_match_gate_by_gate(self, data, n, arith, kind, tile, workers):
+        # inputs with classical qubits: a basis state, the all-zero state, or
+        # random words on the amplitudes whose bits agree with `bits` on the
+        # qubits of `mask`, the rest zero.  Fixed runs sweep only a compact
+        # state; float runs sweep every amplitude.  Both match the flag loop
+        # and the CX oracle bit for bit, signed zeros included.
+        tc = data.draw(_circuits(n))
+        size = 1 << n
+        mask = {"basis": size - 1, "zero": 0, "block": data.draw(st.integers(0, size - 1))}[kind]
+        bits = data.draw(st.integers(0, size - 1))
+        block = np.flatnonzero((np.arange(size) ^ bits) & mask == 0) if kind != "zero" else np.arange(0)
+        # full-range words clamp; small ones let the run be clamp-free
+        values = st.one_of(_WORDS, st.integers(-fx.RAW_ONE // 8, fx.RAW_ONE // 8)) if arith == FIXED else _VALUES
+        words = data.draw(st.lists(values, min_size=2 * block.size, max_size=2 * block.size))
+        a, b = StateVector(n, arith), StateVector(n, arith)
+        a.planes[:, block] = b.planes[:, block] = np.reshape(words, (2, block.size))
+        with mock.patch.object(engine, "_TILE", tile):
+            _, stats = run_circuit(tc, a, workers)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+        assert stats.swept_amps <= len(tc.gates) << n
+        if arith == FLOAT:
+            assert stats.swept_amps == len(tc.gates) << n
+
+
+class TestSweptAmps:
+    """RunStats.swept_amps: the amplitudes each executed step ran on."""
+
+    def test_dense_input_sweeps_every_amplitude(self):
+        rng = np.random.default_rng(107)
+        tc = transpile(generate_template("rotation", 5, 2, 3))
+        tc = transpile(Circuit(5, tc.gates + transpile(generate_qft(5)).gates))
+        for arith in (FIXED, FLOAT):
+            sv = StateVector.from_complex(oracles.random_state(5, rng), arith)
+            _, stats = run_circuit(tc, sv)
+            assert stats.swept_amps == len(tc.gates) << 5
+
+    def test_qft17_basis_inputs_sweep_a_tenth_at_most(self):
+        # the basis inputs of perfbench's qft-dump workload at seed 1: Rx(pi)
+        # on the qubits whose bit of x is 1, then QFT(17), from |0...0>
+        n = 17
+        rng = np.random.default_rng(1)
+        qft = generate_qft(n)
+        swept = 0
+        for _ in range(4):
+            x = int(rng.integers(0, 1 << n))
+            prefix = tuple(Gate(GateKind.RX, (q,), math.pi) for q in range(n) if x >> (n - 1 - q) & 1)
+            _, stats = run_circuit(transpile(Circuit(n, prefix + qft.gates)), StateVector.zero(n, FIXED))
+            swept += stats.swept_amps
+        assert swept <= 0.1 * 4 * 721 * 2 ** n
+
+    def test_cx_with_classical_control_sweeps_nothing(self):
+        # |10>: both qubits are classical.  CX(0, 1) has control 1 and flips
+        # qubit 1's frame (|11>), CX(1, 0) then flips qubit 0's (|01>); no
+        # step runs
+        sv = StateVector.from_complex([0, 0, 1, 0], FIXED)
+        _, stats = run_circuit(transpile(Circuit(2, (Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 0))))), sv)
+        assert stats.swept_amps == 0
+        assert sv.planes[0].tolist() == [0, fx.RAW_ONE, 0, 0]
+
+
+class TestRawNorm:
+    @pytest.mark.parametrize("n", [1, 3, 14, 15])
+    def test_matches_the_exact_sum_of_squares(self, n):
+        # full-range words, about half at RAW_MIN / RAW_MAX, over one partial
+        # chunk up to four full ones: within a relative 2^-38 of the exact root
+        rng = np.random.default_rng(109 + n)
+        planes = rng.integers(fx.RAW_MIN, fx.RAW_MAX + 1, size=(2, 1 << n)).astype(np.int32)
+        ends = rng.random(planes.shape) < 0.5
+        planes[ends] = rng.choice([fx.RAW_MIN, fx.RAW_MAX], size=int(ends.sum()))
+        exact = math.sqrt(sum(w * w for w in planes.ravel().tolist()))
+        assert abs(engine._raw_norm(planes) - exact) <= 2.0 ** -38 * exact
+        assert engine._raw_norm(np.zeros((2, 1 << n), np.int32)) == 0.0
 
 
 class TestClampFree:
