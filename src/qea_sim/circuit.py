@@ -26,6 +26,11 @@ class GateKind(enum.Enum):
     CP = "cp"
     SWAP = "swap"
 
+    # Members are singletons that compare by identity, so identity hashing
+    # keeps every set and dict lookup correct; Enum's own __hash__ is Python
+    # code (hash(self._name_)), paid on every classify and Gate check.
+    __hash__ = object.__hash__
+
 
 PARAMETERIZED = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CP})
 TWO_QUBIT = frozenset({GateKind.CX, GateKind.CP, GateKind.SWAP})

@@ -132,7 +132,7 @@ def cmd_run(args) -> int:
         _atomic_write(args.circuit_out, json.dumps(circuit_to_dict(tc), sort_keys=True) + "\n")
     print(f"{name}: n={circ.n} arith={args.arith} transpiled_gates={len(tc.gates)} "
           f"(sparse={stats.sparse_gates} dense={stats.dense_gates} cx={stats.cx_gates}) "
-          f"swept_amps={stats.swept_amps} of {len(tc.gates) << circ.n} "
+          f"swept_amps={stats.swept_amps} of {len(tc.gates) << circ.n} cx_passes={stats.cx_passes} "
           f"wall_time_s={stats.wall_time_s:.6f} global_phase={tc.global_phase:.12g}",
           file=info)
     return 0
@@ -191,12 +191,8 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     name, circ = _resolve_source(args, _check_float_state)
     tc = transpile(circ)
-    workers = max_workers()
-    fixed, _ = run_circuit(tc, StateVector.zero(circ.n, FIXED), workers)
-    ref, _ = run_circuit(tc, StateVector.zero(circ.n, FLOAT), workers)
-    fid = metrics.fidelity(fixed, ref)
-    err = metrics.mse(fixed, ref)
-    drift = metrics.norm_error(fixed)
+    cmp = metrics.compare_runs(tc, max_workers())
+    fid, err, drift = cmp.fidelity, cmp.mse, cmp.norm_error
     print("name  n  gates  fidelity  mse  norm_error")
     print(f"{name}  {circ.n}  {len(tc.gates)}  {fid:.12f}  {err:.6e}  {drift:.6e}")
     if args.out:

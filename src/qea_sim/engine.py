@@ -10,9 +10,12 @@ Two arithmetic variants share this layout and the kernels:
   * "fixed": int32 planes of Q2.30 raw words, modelling the device.
 
 Dense single-qubit updates are pair-atomic: both old amplitudes of a pair
-are read before either new one is written.  CX is a pure index swap and
-performs no arithmetic.  Pairs within one gate are disjoint, so the pair
-space can be sharded across workers with bit-identical results.
+are read before either new one is written.  CX performs no arithmetic: it
+is deferred as a pending GF(2) index map and materialized only where a
+one-qubit gate cannot run on one stored axis, and at the end, by one
+quarter swap when the map is one CX and by one gather otherwise (_track).
+Pairs within one gate are disjoint, so the pair space can be sharded
+across workers with bit-identical results.
 
 run_circuit prepares a plan once per run (_prepare): every gate classified
 and quantized, views and kernel buffers set up, before the first update.
@@ -24,8 +27,9 @@ qubits, those on which every nonzero amplitude agrees (_track), and
 sweeps only a compact state of the others' amplitudes, with the same bits
 as a full sweep, by proof rather than by tolerance.  Float runs sweep
 every amplitude: IEEE products of zeros keep a sign, which the dump
-prints.  RunStats.swept_amps counts what a run swept; the device model
-(pe_model) still sweeps every amplitude of every gate.
+prints.  RunStats.swept_amps counts what a run swept and cx_passes the
+passes that moved words for CX; the device model (pe_model) still sweeps
+every amplitude of every gate.
 """
 from __future__ import annotations
 
@@ -272,6 +276,25 @@ def _swap(views, i: int, part: range) -> None:
     np.copyto(b, t)
 
 
+def _gather(planes, index, out, i: int, part: range) -> None:
+    """A permutation of the words in one pass: both planes taken through
+    the index into the plan's buffer, then copied back, so the views of
+    later steps stay valid."""
+    # every index is in range; "raise" would copy through a buffer, "clip" writes out directly
+    np.take(planes, index, axis=1, out=out, mode="clip")
+    np.copyto(planes, out)
+
+
+def _gather_index(columns: tuple, offset: int) -> np.ndarray:
+    """idx[s] = offset XOR the columns[k] of the set bits k of s, built by
+    doubling: each column XORs the half built so far into the next."""
+    idx = np.empty(1 << len(columns), np.intp)
+    idx[0] = offset
+    for k, column in enumerate(columns):
+        np.bitwise_xor(idx[:1 << k], column, out=idx[1 << k:2 << k])
+    return idx
+
+
 # A gate's kernel operands by (input half, output half): ur, the real part
 # of each entry, and sgn, (-im, +im), as columns of its words flattened to
 # u00 u01 u10 u11 as (re, im), and the signs of sgn.  A sparse gate takes
@@ -329,16 +352,16 @@ def _swap_parts(n: int, control: int, target: int, workers: int) -> list[range]:
     return _split(1 << min(control, target), min(workers, (1 << (n - 1)) // _TILE))
 
 
-def _swap_views(state: StateVector, control: int, target: int, value: int, parts: list[range], rows) -> list:
-    """Per part: the two quarters CX swaps where the control's stored bit is
-    `value`, and a temporary, a prefix of its row."""
+def _swap_views(state: StateVector, control: int, target: int, parts: list[range], rows) -> list:
+    """Per part: the two quarters CX swaps, where the control's stored bit
+    is 1, and a temporary, a prefix of its row."""
     n = state.n
     bc, bt = n - 1 - control, n - 1 - target
     hi, lo = max(bc, bt), min(bc, bt)
     # axis layout: (plane, pre, bit hi, mid, bit lo, post)
     v = state.planes.reshape(2, 1 << (n - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
-    # control the high bit: swap lo 0 <-> lo 1 where hi = value; else hi 0 <-> hi 1 where lo = value
-    (ah, al), (bh, bl) = ((value, 0), (value, 1)) if bc > bt else ((0, value), (1, value))
+    # control the high bit: swap lo 0 <-> lo 1 where hi = 1; else hi 0 <-> hi 1 where lo = 1
+    (ah, al), (bh, bl) = ((1, 0), (1, 1)) if bc > bt else ((0, 1), (1, 1))
     views = []
     for r, p in zip(rows, parts):
         a, b = v[:, p.start:p.stop, ah, :, al], v[:, p.start:p.stop, bh, :, bl]
@@ -442,21 +465,25 @@ def _clamp_free(planes: np.ndarray, words: np.ndarray) -> bool:
     return float(s.max()) * bound + 2.0 <= fx.RAW_MAX
 
 
+# the plan step class of a materialized index map that is not one CX (_track)
+_GATHER = "gather"
+
+
 def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int,
              clamp_free: bool) -> list:
     """A plan: one _run_parts argument tuple per gate.
 
     The host's share of the device loading each gate's context before the
     sweep (pe_model.GATE_BYTES), once per plan against the state it
-    updates.  `classes` and `qubits` describe the gates, a CX's qubits as
-    (control, target, the control's stored value it swaps at); `words`
-    holds the one-qubit gates' entries in order, as _words lays them out.
-    Operands come from the words by one indexing per mode, tile views once
-    per target and mode, CX parts once per (control, target) and views once
-    per (control, target, value).  Tiles of _TILE pairs are the unit of
-    work and of sharding.  Each part owns one row of a single flat buffer,
-    and every tile shape's product, scratch and widened tile, and the CX
-    temporary, are reshaped prefixes of it: one cache-warm block.  A
+    updates.  `classes` and `qubits` describe the steps: a gather's qubits
+    are its columns and offset (_gather_index).  `words` holds the
+    one-qubit gates' entries in order, as _words lays them out.  Operands
+    come from the words by one indexing per mode, tile views once per
+    target and mode, CX parts and views once per (control, target).  Tiles
+    of _TILE pairs are the unit of work and of sharding.  Each part owns
+    one row of a single flat buffer, and every tile shape's product,
+    scratch and widened tile, the CX temporary and a gather's copy of the
+    planes are reshaped prefixes of it: one cache-warm block.  A
     clamp-free plan (_clamp_free) runs every one-qubit gate with the
     _CLAMP_FREE steps, any other the clamping ones.
     """
@@ -465,9 +492,8 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     pairs = 1 << (n - 1)
     tile = min(_TILE, pairs)
     tile_parts = _split(pairs // tile, workers)
-    ones = {(qs[0], cls == SPARSE) for cls, qs in zip(classes, qubits) if cls != CX}
-    swaps = {qs for cls, qs in zip(classes, qubits) if cls == CX}
-    swap_parts = {qs[:2]: _swap_parts(n, *qs[:2], workers) for qs in swaps}
+    ones = {(qs[0], cls == SPARSE) for cls, qs in zip(classes, qubits) if cls in (SPARSE, DENSE)}
+    swap_parts = {qs: _swap_parts(n, *qs, workers) for cls, qs in zip(classes, qubits) if cls == CX}
 
     # the flat buffer: one row per part, as long as the longest prefix: a
     # product and a scratch of 1 or 2 terms x 2 halves x 2 planes and a
@@ -477,17 +503,23 @@ def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     lengths = [tile * ((8 if sparse else 16) + widened) for _, sparse in ones]
     lengths += [-(-2 * len(parts[0]) * ((1 << (n - 2)) >> min(qs)) // per_wide) for qs, parts in swap_parts.items()]
     counts = [len(tile_parts)] * bool(ones) + [len(parts) for parts in swap_parts.values()]
+    if _GATHER in classes:   # a gather's copy of both planes, in one part
+        lengths.append(-(-(2 << n) // per_wide))
+        counts.append(1)
     buf = np.empty((max(counts, default=1), max(lengths, default=0)), arith.wide)
 
     steps_arith = _CLAMP_FREE if clamp_free else arith
     kernels = {key: _tile_kernel(state, steps_arith, *key, tile, buf[:len(tile_parts)]) for key in ones}
-    swappers = {qs: (swap_parts[qs[:2]], _swap_views(state, *qs, swap_parts[qs[:2]], buf.view(arith.dtype)))
-                for qs in swaps}
+    swappers = {qs: (parts, _swap_views(state, *qs, parts, buf.view(arith.dtype))) for qs, parts in swap_parts.items()}
     operands = {sparse: _operands(words, sparse, arith.wide) for sparse in {sparse for _, sparse in ones}}
     steps, j = [], 0
     for cls, qs in zip(classes, qubits):
         if cls == CX:
             steps.append((_swap, *swappers[qs]))
+            continue
+        if cls == _GATHER:
+            out = buf.view(arith.dtype)[0, :2 << n].reshape(2, -1)
+            steps.append((_gather, [range(1)], state.planes, _gather_index(*qs), out))
             continue
         ur, sgn = operands[cls == SPARSE]
         steps.append((_one_qubit, tile_parts, kernels[qs[0], cls == SPARSE], ur[j], sgn[j]))
@@ -517,42 +549,95 @@ def _classical(planes: np.ndarray) -> dict[int, int]:
     return {q: ors >> (n - 1 - q) & 1 for q in range(n) if not (ors ^ ands) >> (n - 1 - q) & 1}
 
 
-def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict) -> tuple[list, tuple, tuple]:
+def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict) -> tuple[list, dict, tuple | None]:
     """The run as stretches on compact states that hold the active qubits'
-    axes only, for a state whose classical qubits are `values`.
+    axes only, for a state whose classical qubits are `values`, with CX
+    deferred.
 
-    Per qubit the walk keeps whether it is active and a frame bit f_q: the
-    logical bit is the stored bit XOR f_q, and a classical qubit's value
-    is f_q.  A one-qubit gate U on a classical qubit whose column f_q of
+    The walk keeps an affine map from the stored index s of the compact
+    state to the logical qubits.  Per qubit q it holds a row mask r_q over
+    the stored bits (compact axis i is bit m-1-i of s, for m axes) and a
+    bit b_q: q's logical bit is parity(r_q & s) XOR b_q.  A classical qubit
+    has r_q = 0 and value b_q.  It also holds d_q, the stored bits whose
+    flip flips q alone (column q of the map's inverse).  An active qubit's
+    home axis is its rank among the active qubits; the map is the identity
+    when every r_q = d_q is its home bit.
+
+    A CX(c, t) is composed, at no pass: b_t ^= b_c, and when c is active
+    r_t ^= r_c and d_c ^= d_t, after activating a classical t.  A
+    one-qubit gate U on an active q runs on stored axis j when r_q is the
+    bit of j, and, if dense, when d_q is too (no other row holds j); its
+    words are reversed when b_q = 1.  Otherwise the map is materialized
+    first: one quarter swap (_swap_views) when it is one CX since the last
+    materialization, else one gather (_gather_index); either leaves the
+    identity and keeps b.  U on a classical qubit whose column b_q of
     words has one nonzero entry, in row r, multiplies every stored
-    amplitude by it (a sparse step on any active axis) and sets f_q = r;
-    any other U on a classical qubit activates it first.  On an active
-    qubit with f_q = 1, U runs with its words reversed.  A CX with a
-    classical control flips f_t when f_c = 1 and costs no pass; one with
-    an active control activates a classical target, then swaps where the
-    control's stored bit is 1 XOR f_c.  Activation inserts the qubit's
-    axis with the data at stored bit 0, keeping f_q; a step that needs an
-    axis when none is active activates its target.
+    amplitude by it (a sparse step on any active axis) and sets b_q = r;
+    any other U on a classical qubit activates it first.  Activation
+    inserts the qubit's home axis with the data at stored bit 0, a zero
+    bit at that place in every mask, keeping b_q.  Scales while no qubit
+    is active wait for the first activation and run on its axis; a run
+    that ends with none active activates qubit 0 for them.  At the end of a run
+    in place (no classical qubits, so every b_q = 0) the last step
+    materializes the map; a tracked run's write-back does it instead, with
+    the active qubits' b absorbed.
 
     Returns the stretches, each as its steps' classes, their compact
-    qubits, the indices in words.reshape(-1, 2) of the four entries of
-    each one-qubit step (-1 for a zero entry), and the axis position
-    activated after it (None for the last); and the (frame, active
-    qubits) of the start and of the end.  Raises ValueError for a qubit
-    out of range or a CX on one qubit.
+    qubits (a gather's as its columns and offset), the indices in
+    words.reshape(-1, 2) of the four entries of each one-qubit step (-1
+    for a zero entry), and the axis position activated after it (None for
+    the last); the classical values at the end; and, for a tracked run
+    whose map or active b is not trivial, the write-back's gather as
+    (columns, offset, whether the map is not the identity), else None.
+    Raises ValueError for a qubit out of range or a CX on one qubit.
     """
     frame = [values.get(q, 0) for q in range(n)]
     rank = {q: i for i, q in enumerate(q for q in range(n) if q not in values)}
-    start = frame[:], tuple(rank)
+    row, col = [0] * n, [0] * n
+
+    def home():
+        top = len(rank) - 1
+        for q, i in rank.items():
+            row[q] = col[q] = 1 << (top - i)
+
+    home()
+    pending, last = 0, None   # CXs composed since the map was last the identity, and the latest
     nonzero = words.reshape(-1, 4, 2).any(axis=2).tolist() if values else None
     stretches = []
     step_classes, step_qubits, picks = [], [], []
 
     def activate(q):
         nonlocal step_classes, step_qubits, picks, rank
-        stretches.append((step_classes, step_qubits, picks, sum(a < q for a in rank)))
-        step_classes, step_qubits, picks = [], [], []
+        position = sum(a < q for a in rank)
+        if rank:
+            stretches.append((step_classes, step_qubits, picks, position))
+            step_classes, step_qubits, picks = [], [], []
+        else:   # the steps so far are scales waiting for an axis: they run on this one
+            stretches.append(([], [], [], 0))
+        k = len(rank) - position   # the new axis's stored bit
+        for a in rank:
+            row[a] = row[a] >> k << (k + 1) | row[a] & ((1 << k) - 1)
+            col[a] = col[a] >> k << (k + 1) | col[a] & ((1 << k) - 1)
+        row[q] = col[q] = 1 << k
         rank = {a: i for i, a in enumerate(sorted([*rank, q]))}
+
+    def moved():   # whether the map is not the identity
+        return pending == 1 or pending and any(row[q] != 1 << (len(rank) - 1 - i) for q, i in rank.items())
+
+    def materialize():
+        nonlocal pending
+        if pending == 1:   # its swap; composing the CX again restores the identity
+            c, t = last
+            step_classes.append(CX)
+            step_qubits.append((rank[c], rank[t]))
+            row[t] ^= row[c]
+            col[c] ^= col[t]
+        elif pending:
+            if moved():
+                step_classes.append(_GATHER)
+                step_qubits.append((tuple(col[q] for q in reversed(rank)), 0))
+            home()
+        pending = 0
 
     j = -1
     for cls, qs in zip(classes, qubits):
@@ -563,13 +648,13 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
             c, t = qs
             if c == t:
                 raise ValueError("control and target must differ")
-            if c not in rank:
-                frame[t] ^= frame[c]
-                continue
-            if t not in rank:
-                activate(t)
-            step_classes.append(CX)
-            step_qubits.append((rank[c], rank[t], 1 ^ frame[c]))
+            if c in rank:
+                if t not in rank:
+                    activate(t)
+                row[t] ^= row[c]
+                col[c] ^= col[t]
+                pending, last = pending + 1, qs
+            frame[t] ^= frame[c]
             continue
         j += 1
         (q,) = qs
@@ -578,8 +663,6 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
             upper, lower = nonzero[j][f], nonzero[j][2 + f]
             if upper != lower:   # column f has one nonzero entry, in row r
                 r = int(lower)
-                if not rank:
-                    activate(q)
                 entry = 4 * j + 2 * r + f
                 step_classes.append(SPARSE)
                 step_qubits.append((0,))
@@ -587,20 +670,33 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
                 frame[q] = r
                 continue
             activate(q)
+        elif pending and (row[q] & (row[q] - 1) or cls != SPARSE and col[q] != row[q]):
+            materialize()
         step_classes.append(cls)
-        step_qubits.append((rank[q],))
+        step_qubits.append((len(rank) - row[q].bit_length() if pending else rank[q],))   # the home axis at the identity
         picks += (4 * j + 3, 4 * j + 2, 4 * j + 1, 4 * j) if f else (4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3)
+    if not values:   # in place: the plan's last step materializes the map
+        materialize()
+        stretches.append((step_classes, step_qubits, picks, None))
+        return stretches, {}, None
+    if step_classes and not rank:
+        activate(0)
     stretches.append((step_classes, step_qubits, picks, None))
-    return stretches, start, (frame, tuple(rank))
+    offset = 0
+    for q in rank:
+        if frame[q]:
+            offset ^= col[q]
+    end = {q: frame[q] for q in range(n) if q not in rank}
+    permuted = moved()
+    return stretches, end, (tuple(col[q] for q in reversed(rank)), offset, permuted) if offset or permuted else None
 
 
-def _frame_view(planes: np.ndarray, frame: list, active: tuple) -> np.ndarray:
+def _frame_view(planes: np.ndarray, values: dict) -> np.ndarray:
     """The amplitudes a compact state holds, as a view of the full planes
-    with one axis per active qubit: each classical axis indexed at f_q,
-    each active axis reversed where f_q = 1."""
-    n = len(frame)
-    axes = tuple(slice(None, None, 1 - 2 * f) if q in active else f for q, f in enumerate(frame))
-    return planes.reshape((2,) + (2,) * n)[(slice(None),) + axes]
+    with one axis per qubit not in `values`, each qubit in `values` indexed
+    at its value."""
+    axes = tuple(values.get(q, slice(None)) for q in range(planes.shape[1].bit_length() - 1))
+    return planes.reshape((2,) + (2,) * len(axes))[(slice(None),) + axes]
 
 
 def _compact(planes: np.ndarray, arith: str) -> StateVector:
@@ -610,26 +706,31 @@ def _compact(planes: np.ndarray, arith: str) -> StateVector:
     return sv
 
 
-def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int) -> tuple[bool, int]:
-    """Run the gates on the state in place; returns the run's clamp_free
-    and the amplitudes its steps swept.
+def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
+             workers: int) -> tuple[bool, int, int]:
+    """Run the gates on the state in place; returns the run's clamp_free,
+    the amplitudes its steps swept and its CX passes (quarter swaps and
+    gathers).
 
     Clamp-freedom is one decision per run (_clamp_free), from the full
     state and every word.  In a zero-absorbing arithmetic the run tracks
     classical qubits (_classical, _track): it gathers the amplitudes that
     can be nonzero into a compact state, runs each stretch between two
-    activations as one _prepare plan on it, and writes it back through
-    _frame_view, zeroing the rest.  A state without classical qubits runs
-    one plan in place, as does every float run.
+    activations as one _prepare plan on it, and copies it back into the
+    full planes at the classical values, zeroing the rest.  A state
+    without classical qubits runs one plan in place, as does every float
+    run.  Either way CX is deferred as an index map (_track); what is left
+    of it at the end is materialized by the write-back's gather or by the
+    in-place plan's last step.
     """
     arith = _ARITH[state.arith]
     clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
     values = _classical(state.planes) if arith.zero_absorbing else {}
-    stretches, start, end = _track(state.n, classes, qubits, words, values)
-    sv = _compact(np.array(_frame_view(state.planes, *start)).reshape(2, -1), state.arith) if values else state
+    stretches, end, last = _track(state.n, classes, qubits, words, values)
+    sv = _compact(np.array(_frame_view(state.planes, values)).reshape(2, -1), state.arith) if values else state
     # the words' entries and a zero one; without classical qubits every step is its gate, words and all
     entries = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype))) if values else None
-    swept = 0
+    swept = passes = 0
     for step_classes, step_qubits, picks, position in stretches:
         if step_classes:
             step_words = entries[picks].reshape(-1, 4, 2) if values else words
@@ -637,16 +738,23 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
             for step in plan:
                 _run_parts(*step)
             swept += len(plan) << sv.n
+            passes += step_classes.count(CX) + step_classes.count(_GATHER)
         if position is not None:
             planes = np.zeros((2, 2 << sv.n), sv.planes.dtype)
             planes.reshape(2, 1 << position, 2, -1)[:, :, 0] = sv.planes.reshape(2, 1 << position, -1)
             sv = _compact(planes, state.arith)
     if values:
-        frame, active = end
-        if len(active) < state.n:
+        if end:
             state.planes[:] = 0
-        _frame_view(state.planes, frame, active)[...] = sv.planes.reshape((2,) + (2,) * sv.n)
-    return clamp_free, swept
+        view = _frame_view(state.planes, end)
+        if last is None:
+            view[...] = sv.planes.reshape(view.shape)
+        else:   # the map materialized by the write-back; it counts as a pass when it holds CXs
+            columns, offset, moved = last
+            np.take(sv.planes, _gather_index(columns, offset).reshape(view.shape[1:]), axis=1, out=view, mode="clip")
+            swept += moved << sv.n
+            passes += moved
+    return clamp_free, swept, passes
 
 
 def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> StateVector:
@@ -679,6 +787,7 @@ class RunStats:
     wall_time_s: float = 0.0
     clamp_free: bool = False   # a fixed run that proved no word can saturate, so none did
     swept_amps: int = 0        # amplitudes of the state each executed step ran on, summed over the steps
+    cx_passes: int = 0         # permutation passes (quarter swaps and gathers) that carried out the CXs
 
     @property
     def total_gates(self) -> int:
@@ -697,9 +806,9 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     classes = [classify(g) for g in tc.gates]
     matrices = [gate_matrix(g) for g, cls in zip(tc.gates, classes) if cls != CX]
     words = _words(np.array(matrices, np.complex128).reshape(-1, 2, 2), state.arith)
-    clamp_free, swept = _execute(state, classes, [g.qubits for g in tc.gates], words, workers)
+    clamp_free, swept, passes = _execute(state, classes, [g.qubits for g in tc.gates], words, workers)
     counts = classes.count(SPARSE), classes.count(DENSE), classes.count(CX)
-    return state, RunStats(*counts, time.perf_counter() - t0, clamp_free, swept)
+    return state, RunStats(*counts, time.perf_counter() - t0, clamp_free, swept, passes)
 
 
 def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -> StateVector:

@@ -2,8 +2,9 @@
 
 Fidelity is normalized by both input norms, so fixed-point norm drift
 shows up in the separate norm-error field instead of silently deflating
-the overlap.  MSE is the mean squared modulus of amplitude differences
-after aligning the tracked global phase.
+the overlap.  Both are sums over the float64 (re, im) planes taken by
+einsum, in this thread and with no BLAS call.  MSE is the mean squared
+modulus of amplitude differences after aligning the tracked global phase.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import pe_model
 from .circuit import COMPOSITE, CX, DENSE, SPARSE, Circuit, classify, transpile
-from .engine import FIXED, StateVector, reference_run, run_circuit
+from .engine import FIXED, FLOAT, RunStats, StateVector, run_circuit
 
 
 def _as_vector(state) -> np.ndarray:
@@ -25,17 +26,32 @@ def _as_vector(state) -> np.ndarray:
     return np.asarray(state, dtype=np.complex128)
 
 
+def _planes(state) -> np.ndarray:
+    """The (re, im) planes of a state as float64, shape (2, N): a
+    StateVector's values, or a view of a complex array's words."""
+    if isinstance(state, StateVector):
+        return state._values()
+    return np.ascontiguousarray(state, dtype=np.complex128).reshape(-1).view(np.float64).reshape(-1, 2).T
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum sums in this thread, with no BLAS call (np.vdot wakes BLAS threads)
+    axes = "ij"[-a.ndim:]
+    return float(np.einsum(f"{axes},{axes}->", a, b))
+
+
 def fidelity(a, b, phase: float = 0.0) -> float:
-    """|<a|e^{i phase} b>|^2 / (|a|^2 |b|^2), in [0, 1]."""
-    va, vb = _as_vector(a), _as_vector(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.vdot(va, va).real)
-    nb = float(np.vdot(vb, vb).real)
+    """|<a|e^{i phase} b>|^2 / (|a|^2 |b|^2), in [0, 1]; the phase does not
+    change the modulus."""
+    pa, pb = _planes(a), _planes(b)
+    if pa.shape != pb.shape:
+        raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]} amplitudes")
+    na, nb = _dot(pa, pa), _dot(pb, pb)
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of a zero-norm state is undefined")
-    overlap = np.vdot(va, np.exp(1j * phase) * vb)
-    return float(abs(overlap) ** 2 / (na * nb))
+    # <a|b> = sum (ar br + ai bi) + i sum (ar bi - ai br)
+    re, im = _dot(pa, pb), _dot(pa[0], pb[1]) - _dot(pa[1], pb[0])
+    return (re * re + im * im) / (na * nb)
 
 
 def mse(a, b, phase: float = 0.0) -> float:
@@ -49,8 +65,8 @@ def mse(a, b, phase: float = 0.0) -> float:
 
 def norm_error(a) -> float:
     """|  ||a||^2 - 1 |, the drift away from unit norm."""
-    va = _as_vector(a)
-    return abs(float(np.vdot(va, va).real) - 1.0)
+    pa = _planes(a)
+    return abs(_dot(pa, pa) - 1.0)
 
 
 def ngs(time_s: float, gates: int, n: int) -> float:
@@ -58,6 +74,31 @@ def ngs(time_s: float, gates: int, n: int) -> float:
     if gates <= 0:
         raise ValueError("gate count must be positive")
     return time_s / (gates * (1 << n))
+
+
+@dataclass
+class Comparison:
+    """A circuit run from |0...0> in fixed point against the float reference."""
+
+    stats: RunStats      # of the last fixed run
+    wall_time_s: float   # median over the fixed runs
+    fidelity: float
+    mse: float
+    norm_error: float
+
+
+def compare_runs(tc, workers: int = 1, repeats: int = 1) -> Comparison:
+    """Run tc `repeats` times in fixed point, timing each run on a monotonic
+    clock, and once in float; the metrics compare the last fixed state with
+    the float one."""
+    times = []
+    for _ in range(max(1, repeats)):
+        state = StateVector.zero(tc.n, FIXED)
+        t0 = time.perf_counter()
+        fixed, stats = run_circuit(tc, state, workers)
+        times.append(time.perf_counter() - t0)
+    ref, _ = run_circuit(tc, StateVector.zero(tc.n, FLOAT), workers)
+    return Comparison(stats, statistics.median(times), fidelity(fixed, ref), mse(fixed, ref), norm_error(fixed))
 
 
 def _class_counts(gates) -> dict[str, int]:
@@ -114,16 +155,8 @@ def bench_circuit(name: str, circuit: Circuit,
     """
     tc = transpile(circuit)
     pre = _class_counts(circuit.gates)   # composites are counted before transpiling only
-
-    times = []
-    for _ in range(max(1, repeats)):
-        state = StateVector.zero(circuit.n, FIXED)
-        t0 = time.perf_counter()
-        fixed_out, post = run_circuit(tc, state, workers)   # post-transpile counts from the run's plan
-        times.append(time.perf_counter() - t0)
-    wall = statistics.median(times)
-
-    ref = reference_run(tc, StateVector.zero(circuit.n, FIXED), workers)
+    cmp = compare_runs(tc, workers, repeats)
+    post = cmp.stats   # post-transpile counts from the run's plan
     cycles = pe_model.estimate_cycles(tc, cfg)
     gate_count = len(tc.gates)
 
@@ -137,12 +170,12 @@ def bench_circuit(name: str, circuit: Circuit,
         post_sparse=post.sparse_gates,
         post_dense=post.dense_gates,
         post_cx=post.cx_gates,
-        fidelity=fidelity(fixed_out, ref),
-        mse=mse(fixed_out, ref),
-        norm_error=norm_error(fixed_out),
-        wall_time_s=wall,
+        fidelity=cmp.fidelity,
+        mse=cmp.mse,
+        norm_error=cmp.norm_error,
+        wall_time_s=cmp.wall_time_s,
         modeled_time_s=cycles.modeled_time_s,
-        ngs=ngs(wall, gate_count, circuit.n),
+        ngs=ngs(cmp.wall_time_s, gate_count, circuit.n),
         mem_qea_bytes=pe_model.estimate_memory_qea(circuit.n, gate_count),
         mem_matmul_bytes=pe_model.estimate_memory_matmul(circuit.n),
         total_cycles=cycles.total_cycles,

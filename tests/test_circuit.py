@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -214,6 +216,14 @@ class TestSerialization:
         back = circuit_from_dict(circuit_to_dict(tc))
         assert isinstance(back, TranspiledCircuit)
         assert back == tc
+
+    def test_gate_round_trips_through_pickle_and_copy(self):
+        # GateKind hashes by identity: a copied or unpickled member is the
+        # same object, so it finds the same set and dict entries
+        for g in (Gate(GateKind.RX, (0,), 0.5), Gate(GateKind.CX, (1, 0)), Gate(GateKind.SWAP, (0, 2))):
+            for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+                assert back == g and hash(back) == hash(g) and back.kind is g.kind
+                assert (back.kind in TWO_QUBIT) == (g.kind in TWO_QUBIT)
 
 
 # any finite angle, signed zeros and subnormals included

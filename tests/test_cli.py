@@ -59,11 +59,12 @@ class TestRun:
     @pytest.mark.parametrize("arith", ["fixed", "float"])
     def test_summary_reports_swept_amplitudes(self, capsys, arith):
         # QFT(4) has 4 H + 6 x 5 CP gates + 2 x 3 SWAP CX: 40 gates x 16 amplitudes;
-        # a fixed run from |0000> skips provably zero amplitudes, a float run none
+        # a fixed run from |0000> skips provably zero amplitudes, a float run
+        # sweeps all 16 in each of its 22 one-qubit gates and its CX passes
         code, out, err = run_cli(capsys, "run", "--generate", "qft:4", "--arith", arith)
         assert code == 0
-        swept = int(re.search(r" swept_amps=(\d+) of 640 ", err).group(1))
-        assert swept < 640 if arith == "fixed" else swept == 640
+        swept, passes = map(int, re.search(r" swept_amps=(\d+) of 640 cx_passes=(\d+) ", err).groups())
+        assert swept < 640 if arith == "fixed" else swept == (22 + passes) << 4
 
     def test_out_file_and_circuit_json(self, tmp_path, capsys):
         dump_path = tmp_path / "state.dump"

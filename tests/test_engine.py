@@ -358,8 +358,111 @@ class TestPlanProperty:
             _, stats = run_circuit(tc, a, workers)
         assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
         assert stats.swept_amps <= len(tc.gates) << n
-        if arith == FLOAT:
-            assert stats.swept_amps == len(tc.gates) << n
+        if arith == FLOAT:   # every one-qubit gate and every CX pass sweeps the state
+            assert stats.swept_amps == (stats.sparse_gates + stats.dense_gates + stats.cx_passes) << n
+
+
+@st.composite
+def _cx_circuits(draw, n):
+    """Circuits weighted toward CX, n >= 2: 1-4 runs of 2-8 CXs, SWAPs and
+    cancelling CX pairs, each followed by 0-3 one-qubit gates (exact +-pi
+    angles among them) on the run's controls or on any qubit, so dense and
+    sparse gates meet qubits inside and outside the pending map."""
+    qubit = st.integers(0, n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        controls = []
+        for _ in range(draw(st.integers(2, 8))):
+            a, b = draw(pair)
+            kind = draw(st.sampled_from(["cx", "swap", "pair"]))
+            if kind == "swap":
+                gates.append(Gate(GateKind.SWAP, (a, b)))
+            else:
+                gates += [Gate(GateKind.CX, (a, b))] * (2 if kind == "pair" else 1)
+            controls.append(a)
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(_1Q_KINDS))
+            angle = draw(_ANGLES) if kind in PARAMETERIZED else None
+            gates.append(Gate(kind, (draw(st.one_of(st.sampled_from(controls), qubit)),), angle))
+    return transpile(Circuit(n, tuple(gates)))
+
+
+class TestDeferredCx:
+    """CX as a pending index map (engine._track): every run matches the
+    flag loop and the CX oracle gate by gate, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(2, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           kind=st.sampled_from(["dense", "basis", "zero", "block"]),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_cx_runs_match_gate_by_gate(self, data, n, arith, kind, tile, workers):
+        # sparse inputs as in test_sparse_inputs_match_gate_by_gate: in fixed
+        # point their classical qubits carry frame bits into the map
+        tc = data.draw(_cx_circuits(n))
+        size = 1 << n
+        mask = {"dense": 0, "basis": size - 1, "zero": 0, "block": data.draw(st.integers(0, size - 1))}[kind]
+        bits = data.draw(st.integers(0, size - 1))
+        block = np.flatnonzero((np.arange(size) ^ bits) & mask == 0) if kind != "zero" else np.arange(0)
+        values = st.one_of(_WORDS, st.integers(-fx.RAW_ONE // 8, fx.RAW_ONE // 8)) if arith == FIXED else _VALUES
+        words = data.draw(st.lists(values, min_size=2 * block.size, max_size=2 * block.size))
+        a, b = StateVector(n, arith), StateVector(n, arith)
+        a.planes[:, block] = b.planes[:, block] = np.reshape(words, (2, block.size))
+        with mock.patch.object(engine, "_TILE", tile):
+            _, stats = run_circuit(tc, a, workers)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+        assert stats.cx_passes <= stats.cx_gates
+        assert stats.swept_amps <= len(tc.gates) << n
+
+
+class TestCxPasses:
+    """RunStats.cx_passes: the quarter swaps and gathers that carried out a run's CXs."""
+
+    def test_qft17_basis_inputs_take_one_gather(self):
+        # the qft-dump inputs at seed 1: every CP's CX has a classical control,
+        # and the SWAP network's 24 CXs are one gather, in the write-back
+        n = 17
+        rng = np.random.default_rng(1)
+        qft = generate_qft(n)
+        for _ in range(4):
+            x = int(rng.integers(0, 1 << n))
+            prefix = tuple(Gate(GateKind.RX, (q,), math.pi) for q in range(n) if x >> (n - 1 - q) & 1)
+            _, stats = run_circuit(transpile(Circuit(n, prefix + qft.gates)), StateVector.zero(n, FIXED))
+            assert stats.cx_passes == 1
+
+    @pytest.mark.parametrize("topology", ["chain", "alternating", "all_to_all"])
+    def test_float_cx_templates_take_one_gather(self, topology):
+        n = 12
+        tc = transpile(generate_template(topology, n, 2, 3))
+        psi = oracles.random_state(n, np.random.default_rng(131))
+        sv, stats = run_circuit(tc, StateVector.from_complex(psi))
+        assert (stats.cx_passes, stats.swept_amps) == (1, 1 << n)
+        # amplitude x after the run is the input's at g_1(g_2(...g_k(x))),
+        # each CX g flipping the target's bit where the control's is 1
+        index = np.arange(1 << n)
+        for g in reversed(tc.gates):
+            c, t = g.qubits
+            index ^= (index >> (n - 1 - c) & 1) << (n - 1 - t)
+        assert sv.to_complex().tobytes() == psi[index].tobytes()
+
+    def test_apply_cx_on_a_dense_state_is_one_quarter_swap(self):
+        rng = np.random.default_rng(113)
+        sv = StateVector.from_complex(oracles.random_state(6, rng))
+        with mock.patch.object(engine, "_swap", wraps=engine._swap) as swap, \
+                mock.patch.object(engine, "_gather", wraps=engine._gather) as gather:
+            apply_cx(sv, 4, 1)
+        assert (swap.call_count, gather.call_count) == (1, 0)
+
+    def test_cancelled_pair_makes_no_pass(self):
+        rng = np.random.default_rng(127)
+        psi = oracles.random_state(5, rng)
+        for arith in (FIXED, FLOAT):
+            sv = StateVector.from_complex(psi, arith)
+            want = sv.planes.copy()
+            tc = transpile(Circuit(5, (Gate(GateKind.CX, (3, 0)), Gate(GateKind.CX, (3, 0)))))
+            _, stats = run_circuit(tc, sv)
+            assert (stats.cx_passes, stats.swept_amps) == (0, 0)
+            assert sv.planes.tobytes() == want.tobytes()
 
 
 class TestSweptAmps:
@@ -372,7 +475,7 @@ class TestSweptAmps:
         for arith in (FIXED, FLOAT):
             sv = StateVector.from_complex(oracles.random_state(5, rng), arith)
             _, stats = run_circuit(tc, sv)
-            assert stats.swept_amps == len(tc.gates) << 5
+            assert stats.swept_amps == (stats.sparse_gates + stats.dense_gates + stats.cx_passes) << 5
 
     def test_qft17_basis_inputs_sweep_a_tenth_at_most(self):
         # the basis inputs of perfbench's qft-dump workload at seed 1: Rx(pi)

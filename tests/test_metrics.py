@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,6 +80,34 @@ class TestMse:
         rng = np.random.default_rng(7)
         psi = oracles.random_state(5, rng)
         assert mse(psi, psi) <= 1e-12 and 1 - fidelity(psi, psi) <= 1e-12
+
+
+class TestWithoutBlas:
+    """fidelity and norm_error sum over the float64 planes by einsum."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_match_the_vdot_forms(self, n):
+        # a near pair, as a fixed run and its reference are.  Each side sums
+        # 2^(n+1) products in its own order, each sum within a relative r =
+        # 2^(n+1) 2^-53 of the exact one: norms agree within 2r < 2^(n-50).
+        # Fidelity's overlap squared and two norms make 4r per side (the
+        # imaginary part of a near pair's overlap is about 1e-6 of the real)
+        rng = np.random.default_rng(200 + n)
+        a = oracles.random_state(n, rng)
+        b = a + 1e-6 * oracles.random_state(n, rng)
+        tol = 2.0 ** (n - 50)
+        want = abs(np.vdot(a, np.exp(0.3j) * b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
+        assert fidelity(a, b, 0.3) == pytest.approx(want, rel=4 * tol, abs=0)
+        for v in (a, b, StateVector.from_complex(b)):
+            w = v.to_complex() if isinstance(v, StateVector) else v
+            assert norm_error(v) == pytest.approx(abs(np.vdot(w, w).real - 1.0), rel=0, abs=tol)
+
+    def test_no_vdot_call(self):
+        rng = np.random.default_rng(211)
+        a, b = oracles.random_state(4, rng), StateVector.from_complex(oracles.random_state(4, rng), FIXED)
+        with mock.patch.object(np, "vdot", side_effect=AssertionError):
+            fidelity(a, b)
+            norm_error(b)
 
 
 class TestNgs:
