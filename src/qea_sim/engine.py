@@ -34,6 +34,7 @@ every amplitude of every gate.
 from __future__ import annotations
 
 import binascii
+import itertools
 import math
 import os
 import threading
@@ -891,40 +892,64 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
 # Hex columns are the Q2.30 storage words (quantized for the float variant).
 # ---------------------------------------------------------------------------
 
-_DUMP_SLICE = 1 << 14   # amplitudes per chunk of dump text written
+_DUMP_SLICE = 1 << 10   # amplitudes per chunk of dump text written, and floats per block of reprs
 _DUMP_PIECE = 1 << 20   # characters of dump text split into lines at a time
 _HEX_CHARS = np.frombuffer(b"0123456789abcdef", np.uint8)
 _NIBBLES = np.arange(28, -4, -4, dtype=np.uint32)   # shifts of a word's hex digits, first to last
 # a body line as np.loadtxt reads it; a hex field's 9th byte shows a longer one
 _DUMP_LINE = np.dtype([("index", "i8"), ("re_hex", "S9"), ("im_hex", "S9"), ("re", "f8"), ("im", "f8")])
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_SIGNS = np.array([b"", b"-"], dtype=object)   # a float field's prefix, by sign bit
+_REPR = "S23"   # the longest repr of a non-negative finite float: 2.2250738585072014e-308
 
 
 def _line_heads(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """`<index> <re_hex> <im_hex> ` of dump lines lo..hi-1, all indices of
-    one width, as a str array built from UCS-4 code points."""
+    one width, as a bytes array built from ASCII codes."""
     width = len(str(hi - 1))
-    heads = np.full((hi - lo, width + 19), ord(" "), np.uint32)
+    heads = np.full((hi - lo, width + 19), ord(" "), np.uint8)
     index = np.arange(lo, hi)
     for k in range(width - 1, -1, -1):
         index, digit = np.divmod(index, 10)
         heads[:, k] = digit + ord("0")
     nibbles = _HEX_CHARS[(words[:, lo:hi, None] >> _NIBBLES) & 15]
     heads[:, width + 1:width + 9], heads[:, width + 10:width + 18] = nibbles
-    return heads.view(f"U{width + 19}")[:, 0]
+    return heads.view(f"S{width + 19}")[:, 0]
 
 
 def format_dump(state: StateVector) -> str:
+    """The dump text of a state.  Each distinct float magnitude is repr'd
+    once; a float field is its magnitude's repr behind a "-" where the sign
+    bit is set, which is repr of the signed value for every finite float,
+    -0.0 included (non-finite values never get here: quantizing refuses them).
+
+    The reprs are kept as one bytes array, not as str objects, whose ~50
+    bytes of header each would make the table of a state with all
+    magnitudes distinct twice the size of its text."""
     values = state._values()
-    words = fx.to_fixed_array(values).view(np.uint32)
-    tail = "{}{!r} {!r}\n".format   # repr of the floats is the floor: it stays per line
+    # fixed planes are their own Q2.30 words; float planes are quantized
+    words = (state.planes if state.arith == FIXED else fx.to_fixed_array(values)).view(np.uint32)
+    # abs clears the sign bit, so equal magnitudes are equal bits: 0.0 and -0.0 share one
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    reprs = np.empty(magnitudes.size, _REPR)
+    for lo in range(0, magnitudes.size, _DUMP_SLICE):
+        reprs[lo:lo + _DUMP_SLICE] = list(map(repr, magnitudes[lo:lo + _DUMP_SLICE].tolist()))
+    inverse = inverse.astype(np.int32).reshape(values.shape)
+    negative = np.signbit(values).view(np.uint8)   # 0/1 indices into _SIGNS, not a mask
+    del values, magnitudes
     chunks = [f"n={state.n} arith={state.arith}\n"]
     size = len(state)
     # cut at every _DUMP_SLICE and every power of ten: one index width per chunk
     cuts = sorted({*range(0, size, _DUMP_SLICE), *(10 ** k for k in range(1, len(str(size - 1))))})
     for lo, hi in zip(cuts, cuts[1:] + [size]):
-        chunks.append("".join(map(tail, _line_heads(words, lo, hi).tolist(),
-                                  values[0, lo:hi].tolist(), values[1, lo:hi].tolist())))
+        # a line is 7 parts: head, sign, repr, " ", sign, repr, "\n"
+        parts = [b" "] * (7 * (hi - lo))
+        parts[0::7] = _line_heads(words, lo, hi).tolist()
+        parts[1::7], parts[4::7] = _SIGNS[negative[:, lo:hi]].tolist()
+        parts[2::7], parts[5::7] = reprs[inverse[:, lo:hi]].tolist()
+        parts[6::7] = [b"\n"] * (hi - lo)
+        chunks.append(b"".join(parts).decode("ascii"))
+    del words, reprs, inverse, negative, parts
     return "".join(chunks)
 
 
@@ -958,34 +983,43 @@ def _check_lines(lines: list[str], count: int) -> None:
 
 
 def _text_pieces(text: str):
-    """The non-blank lines of text, in lists of about _DUMP_PIECE characters:
-    text is cut just after a newline, so together they are text.splitlines()'s."""
+    """The lines of text, blank ones included, in lists of about _DUMP_PIECE
+    characters: text is cut just after a newline, so together they are
+    text.splitlines()'s."""
     lo = 0
     while lo < len(text):
         hi = text.find("\n", lo + _DUMP_PIECE) + 1 or len(text)
-        yield [ln for ln in text[lo:hi].splitlines() if ln.strip()]
+        yield text[lo:hi].splitlines()
         lo = hi
 
 
-def _read_body(text: str, sv: StateVector) -> np.ndarray:
-    """Store the body lines of a dump text in sv's planes by index, read by
-    np.loadtxt one piece at a time; ValueError on a line _check_lines
-    rejects or a non-finite value.  Returns the indices whose hex columns
-    are not the quantized float columns."""
+def _header(pieces) -> tuple[str, list[str]]:
+    """The first non-blank line of pieces, and the rest of its piece."""
+    for lines in pieces:
+        for k, ln in enumerate(lines):
+            if ln.strip():
+                return ln, lines[k + 1:]
+    return "", []
+
+
+def _read_body(pieces, sv: StateVector) -> np.ndarray:
+    """Store the body lines in sv's planes by index, read by np.loadtxt one
+    piece at a time (it skips blank lines); ValueError unless there are 2^n
+    of them, each index once, or on a line _check_lines rejects or a
+    non-finite value.  Returns the indices whose hex columns are not the
+    quantized float columns."""
     count = len(sv)
     index = np.empty(count, np.int64)
     bad = []
-    done = -1   # body lines read; the first non-blank line is the header
-    for lines in _text_pieces(text):
-        if done < 0 and lines:
-            lines, done = lines[1:], 0
-        if not lines:
+    done = 0   # body lines read
+    for lines in pieces:
+        if not any(map(str.strip, lines)):   # loadtxt warns on a piece with no data
             continue
         rec = np.loadtxt(lines, _DUMP_LINE, comments=None, ndmin=1)
         i = rec["index"]
         hexes = np.stack((rec["re_hex"], rec["im_hex"])).view(np.uint8).reshape(2, -1, 9)
-        if i.min() < 0 or i.max() >= count or hexes[..., 8].any():
-            raise ValueError("dump index out of range or hex field longer than 8 digits")
+        if done + i.size > count or i.min() < 0 or i.max() >= count or hexes[..., 8].any():
+            raise ValueError("dump has too many lines, an index out of range or a hex field longer than 8 digits")
         # unhexlify rejects any byte but a hex digit, the zero padding of a short field too
         words = np.frombuffer(binascii.unhexlify(hexes[..., :8].tobytes()), ">i4").reshape(2, -1)
         values = np.stack((rec["re"], rec["im"]))
@@ -993,9 +1027,19 @@ def _read_body(text: str, sv: StateVector) -> np.ndarray:
         sv.planes[:, i] = _ARITH[sv.arith].quantize(values)
         index[done:done + i.size] = i
         done += i.size
-    if (np.bincount(index, minlength=count) != 1).any():
-        raise ValueError("dump index repeated")
+    if done != count or (np.bincount(index, minlength=count) != 1).any():
+        raise ValueError("dump index missing or repeated")
     return np.concatenate(bad)
+
+
+def _refuse(text: str, n: int, arith: str) -> None:
+    """The checks of a dump that failed to read, in order, as separate
+    passes over its lines: raise ValueError naming the first that fails."""
+    count = sum(1 for lines in _text_pieces(text) for ln in lines if ln.strip()) - 1
+    if count.bit_length() - 1 != n or count != 1 << n:   # n may be absurd: 1 << n comes last
+        raise ValueError(f"n={n} needs 2^{n} amplitude lines, got {count}")
+    StateVector(n, arith)   # its own refusals: n < 1, an unknown arithmetic, too large
+    _check_lines([ln for ln in text.splitlines() if ln.strip()], count)   # names the first bad line
 
 
 def parse_dump(text: str) -> StateVector:
@@ -1005,24 +1049,27 @@ def parse_dump(text: str) -> StateVector:
     parse, and the hex columns must be the Q2.30 quantization of the float
     columns, the rule format_dump writes them by for both arithmetics.
     Fields are plain ASCII numerals, and hex fields exactly 8 hex digits,
-    as format_dump writes them.  Lines are split a piece of the text at a
-    time, never all at once, and the body is read as arrays; only a dump
-    that fails is read again line by line, to name its first bad line.
+    as format_dump writes them.  The text is split into lines once, a piece
+    at a time, and the header, the line count and the body are read from
+    that pass, the body as arrays; only a dump that fails is read again,
+    check by check, to name its first failure.
     """
-    head = next((lines[0] for lines in _text_pieces(text) if lines), "")
+    pieces = _text_pieces(text)
+    head, rest = _header(pieces)
     try:
         fields = dict(part.split("=", 1) for part in head.split())
         n, arith = _numeral(fields["n"], int), fields["arith"]
     except (KeyError, ValueError):
         raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {head!r}") from None
-    count = sum(map(len, _text_pieces(text))) - 1
-    if count.bit_length() - 1 != n or count != 1 << n:   # before allocating 2^n
-        raise ValueError(f"n={n} needs 2^{n} amplitude lines, got {count}")
-    sv = StateVector(n, arith)
     try:
-        bad = _read_body(text, sv)
+        # 2^n + 1 non-blank lines and the breaks between them take more than
+        # 2^(n+1) characters: refuse what cannot fit before allocating 2^n
+        if not 0 <= n < (len(text) // 2).bit_length():
+            raise ValueError("dump too short for its n")
+        sv = StateVector(n, arith)
+        bad = _read_body(itertools.chain([rest], pieces), sv)
     except ValueError:
-        _check_lines([ln for ln in text.splitlines() if ln.strip()], count)   # names the first bad line
+        _refuse(text, n, arith)
         raise
     if bad.size:
         raise ValueError(f"dump index {bad.min()}: hex columns are not the quantized float columns")

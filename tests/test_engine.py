@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -284,10 +285,13 @@ def _circuits(draw, n):
 
 def _gate_by_gate(sv, tc):
     """tc applied to sv one gate at a time: the scalar flag loop for
-    one-qubit gates, the CX permutation oracle for CX."""
+    one-qubit gates, the CX index permutation for CX (amplitude x takes
+    the one at x with the target's bit flipped where the control's is 1)."""
+    index = np.arange(len(sv))
     for g in tc.gates:
         if g.kind is GateKind.CX:
-            sv.planes[:] = sv.planes[:, np.argmax(oracles.cx_matrix(sv.n, *g.qubits).real, axis=1)]
+            c, t = g.qubits
+            sv.planes[:] = sv.planes[:, index ^ (index >> (sv.n - 1 - c) & 1) << (sv.n - 1 - t)]
         else:
             apply_1q_flagloop(sv, make_application(g, sv.arith))
     return sv
@@ -834,6 +838,31 @@ _DUMP2 = ["n=2 arith=fixed", "0 40000000 00000000 1.0 0.0", "1 00000000 00000000
           "2 00000000 00000000 0.0 0.0", "3 00000000 00000000 0.0 0.0"]
 
 
+def _per_line_dump(sv) -> str:
+    """The dump text by the per-line writer format_dump replaced: two float
+    reprs per line, formatted one line at a time."""
+    values = sv._values()
+    line = "{} {:08x} {:08x} {!r} {!r}\n".format
+    return f"n={sv.n} arith={sv.arith}\n" + "".join(map(line, range(1 << sv.n), *fx.to_fixed_array(values).view(np.uint32).tolist(),
+                                                         *values.tolist()))
+
+
+def _traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, above what was
+    traced when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def _edited_dump(edits: dict) -> str:
     lines = [edits.get(k, ln) for k, ln in enumerate(_DUMP2, start=1)]
     return "\n".join(ln for ln in lines if ln is not None) + "\n"
@@ -959,25 +988,63 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match=f"^dump line {lineno}: unreadable field in {re.escape(repr(line))}$"):
             parse_dump(_edited_dump(edits))
 
-    @pytest.mark.parametrize("arith", [FIXED, FLOAT])
-    def test_writer_matches_per_line_oracle(self, arith):
-        # n=17 crosses eight 2^14-line slices and the 10^4 and 10^5 index widths
+    @pytest.mark.parametrize("kind", ["fixed", "float", "qft"])
+    def test_writer_matches_per_line_oracle(self, kind):
+        # n=17 crosses many dump slices and the 10^4 and 10^5 index widths
         rng = np.random.default_rng(1717)
-        if arith == FIXED:
+        if kind == "fixed":
             sv = StateVector.from_complex(oracles.random_state(17, rng), FIXED)
-        else:   # any magnitude, signed zeros and subnormals
+        elif kind == "float":   # any magnitude, signed zeros and subnormals
             sv = StateVector(17, FLOAT)
             sv.planes[:] = rng.normal(size=(2, 1 << 17)) * 10.0 ** rng.integers(-300, 300, size=(2, 1 << 17))
             sv.planes[:, ::5] = 0.0
             sv.planes[:, 1::5] = -0.0
             sv.planes[:, 2::5] = 5e-324 * rng.integers(-2 ** 52, 2 ** 52, size=sv.planes[:, 2::5].shape)
+        else:   # a fixed QFT of a basis state, as qea-sim run dumps it: few magnitudes, each many times
+            sv = StateVector(17, FIXED)
+            sv.planes[0, int(rng.integers(0, 1 << 17))] = fx.RAW_ONE
+            run_circuit(transpile(generate_qft(17)), sv)
+            assert np.unique(np.abs(sv.planes)).size < sv.planes.size // 4
         text = format_dump(sv)
-        values = sv._values()
-        line = "{} {:08x} {:08x} {!r} {!r}\n".format   # the per-line writer format_dump replaced
-        want = f"n=17 arith={arith}\n" + "".join(map(line, range(1 << 17), *fx.to_fixed_array(values).view(np.uint32).tolist(),
-                                                       *values.tolist()))
-        assert text == want
+        assert text == _per_line_dump(sv)
         assert format_dump(parse_dump(text)) == text
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           chunk=st.sampled_from([1, 3, engine._DUMP_SLICE]))
+    def test_repeated_magnitudes_match_per_line_oracle(self, data, n, arith, chunk):
+        # planes drawn from a pool of 1-4 magnitudes and 0, each with a random
+        # sign: the writer's table holds each magnitude once for both signs,
+        # 0.0 and -0.0 included (fixed words: 0 and the full range, RAW_MIN too)
+        magnitude = st.one_of(st.sampled_from([0, 1, fx.RAW_ONE, 1 << 31]), st.integers(0, 1 << 31)) \
+            if arith == FIXED else st.one_of(st.sampled_from([5e-324, 2.0 ** -1040, 2.2250738585072014e-308,
+                                                              1.7976931348623157e308]),
+                                             st.floats(0.0, allow_nan=False, allow_infinity=False))
+        pool = data.draw(st.lists(magnitude, min_size=1, max_size=4)) + [0]
+        picks = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=2 << n, max_size=2 << n)))
+        signs = np.array(data.draw(st.lists(st.booleans(), min_size=2 << n, max_size=2 << n)))
+        sv = StateVector(n, arith)
+        signed = np.where(signs, -picks, picks)
+        sv.planes[:] = (np.clip(signed, fx.RAW_MIN, fx.RAW_MAX) if arith == FIXED else signed).reshape(2, -1)
+        with mock.patch.object(engine, "_DUMP_SLICE", chunk):
+            assert format_dump(sv) == _per_line_dump(sv)
+
+    @pytest.mark.parametrize("arith", [FIXED, FLOAT])
+    def test_writer_peak_memory(self, arith):
+        # every magnitude distinct, the writer's largest table of reprs: its
+        # traced peak stays within 3x the text.  A memory bound, not a time one.
+        sv = StateVector.from_complex(oracles.random_state(14, np.random.default_rng(1414)), arith)
+        format_dump(sv)   # first-call allocations out of the count
+        text, peak = _traced_peak(lambda: format_dump(sv))
+        assert peak <= 3 * len(text)
+
+    def test_short_text_refused_before_allocating(self):
+        # a two-line text cannot hold 2^28 amplitude lines: parse_dump
+        # refuses it before allocating a 2 GiB state
+        def parse():
+            with pytest.raises(ValueError, match=r"^n=28 needs 2\^28 amplitude lines, got 1$"):
+                parse_dump("n=28 arith=fixed\n0 40000000 00000000 1.0 0.0\n")
+        assert _traced_peak(parse)[1] < 1 << 20
 
     @pytest.mark.parametrize("edits,words", [
         ({}, [0x40000000, 0, 0, 0, 0, 0, 0, 0]),
@@ -1003,6 +1070,18 @@ class TestDumpFormatSmallPieces(TestDumpFormat):
         monkeypatch.setattr(engine, "_DUMP_PIECE", 1)
         monkeypatch.setattr(engine, "_DUMP_SLICE", 4)
 
-    # run once above: the property test sets both sizes itself, and 2^17
-    # one-line pieces make the oracle test slow
+    # run once above: the property tests set their sizes themselves, 2^17
+    # one-line pieces make the oracle test slow, and the memory bound is
+    # the default slice's
     test_format_parse_format_identical = test_writer_matches_per_line_oracle = None
+    test_repeated_magnitudes_match_per_line_oracle = test_writer_peak_memory = None
+
+
+@pytest.mark.nightly
+@pytest.mark.parametrize("arith", [FIXED, FLOAT])
+def test_dump_round_trip_n20(arith):
+    """n=20, the first size whose indices cross the 10^6 width: the text
+    survives parse_dump and format_dump unchanged (no time bound)."""
+    sv = StateVector.from_complex(oracles.random_state(20, np.random.default_rng(2020)), arith)
+    text = format_dump(sv)
+    assert format_dump(parse_dump(text)) == text
