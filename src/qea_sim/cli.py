@@ -72,7 +72,8 @@ def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
 
 
 def _resolve_source(args, check) -> tuple[str, Circuit | TranspiledCircuit]:
-    """The circuit to use; check(n) refuses a generated n before any gate is built."""
+    """The circuit to use; check(n) refuses a generated n before any gate is
+    built, and a file's n once it is read."""
     if getattr(args, "generate", None):
         if getattr(args, "circuit", None):
             raise ValueError("give either a circuit file or --generate, not both")
@@ -80,7 +81,9 @@ def _resolve_source(args, check) -> tuple[str, Circuit | TranspiledCircuit]:
         check(n)
         return name, build()
     if getattr(args, "circuit", None):
-        return load_circuit_file(args.circuit)
+        name, circ = load_circuit_file(args.circuit)
+        check(circ.n)
+        return name, circ
     raise ValueError("no circuit source: pass a file or --generate <spec>")
 
 
@@ -103,8 +106,8 @@ def _check_float_state(n: int) -> None:
 
 
 def _check_estimate(n: int) -> None:
-    if n >= sys.float_info.max_exp:   # the memory ratio, about 2^n, must be a finite float
-        raise ValueError(f"{n} qubits: the matmul/QEA memory ratio, about 2^{n}, overflows a float")
+    if n >= sys.float_info.max_exp:   # the memory ratio and the cycle counts, about 2^n, must be finite floats
+        raise ValueError(f"{n} qubits: the model's figures, about 2^{n}, overflow a float")
 
 
 def _pe_config(args) -> pe_model.PEConfig:
@@ -209,6 +212,7 @@ def cmd_estimate(args) -> int:
         name, circ = _resolve_source(args, _check_estimate)
         tc = transpile(circ)
     gates = len(tc.gates) if tc is not None else 0
+    rep = pe_model.estimate_cycles(tc, cfg) if tc is not None else None   # may refuse: before any row
 
     rows = []
     for n in _parse_qubit_range(args.qubits, _check_estimate):
@@ -223,7 +227,6 @@ def cmd_estimate(args) -> int:
 
     out_lines = [json.dumps(row, sort_keys=True) for row in rows]
     if tc is not None:
-        rep = pe_model.estimate_cycles(tc, cfg)
         print(f"{name}: total_cycles={rep.total_cycles:.0f} "
               f"(sparse={rep.sparse_cycles} dense={rep.dense_cycles} cx={rep.cx_cycles} "
               f"cross_pe={rep.cross_pe_cycles} overhead={rep.overhead_cycles:.0f}) "

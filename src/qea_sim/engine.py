@@ -17,8 +17,8 @@ quarter swap when the map is one CX and by one gather otherwise (_track).
 Pairs within one gate are disjoint, so the pair space can be sharded
 across workers with bit-identical results.
 
-run_circuit prepares a plan once per run (_prepare): every gate classified
-and quantized, views and kernel buffers set up, before the first update.
+run_circuit prepares each plan once (_prepare): every gate classified and
+quantized, views and kernel buffers set up, before the plan's first update.
 apply_1q and apply_cx are one-gate plans: all three run through _execute.
 
 In fixed point zero is absorbing: a product with a zero word rounds to
@@ -197,7 +197,7 @@ def make_application(gate: Gate, arith: str) -> GateApplication:
 # Pairs per kernel tile.  A part's kernel buffers take 160 bytes per pair
 # for dense gates (8-byte words: the widened tile, 2 halves x 2 planes, and
 # two product buffers of 2 products x 2 halves x 2 planes), 1.25 MiB at
-# 2^13 pairs, within a 2 MiB L2; they are allocated once per run.  On a
+# 2^13 pairs, within a 2 MiB L2; they are allocated once per plan.  On a
 # 2-vCPU Xeon with 2 MiB of L2 per core (sizes timed in turn in one warm
 # process, n=16-17), 2^14 pairs ran the kernels up to 1.7x slower than
 # 2^13; 2^12 was within 25% either way, faster on float dense gates and
@@ -269,9 +269,8 @@ def _one_qubit(tiles, ur, sgn, i: int, part: range) -> None:
             total(p[0], p[1], out=x)
 
 
-def _swap(views, i: int, part: range) -> None:
-    """CX over one part of its blocks: swap two quarters through a temporary."""
-    a, b, t = views[i]
+def _swap(a, b, t, i: int, part: range) -> None:
+    """CX in one pass: swap two quarters of the planes through a temporary."""
     np.copyto(t, a)
     np.copyto(a, b)
     np.copyto(b, t)
@@ -314,16 +313,14 @@ def _operands(words: np.ndarray, sparse: bool, wide: type) -> tuple[np.ndarray, 
             (flat.take(im, axis=1) * signs).reshape(shape[:-3] + (2, 1, 1)))
 
 
-def _tile_kernel(state: StateVector, arith: _Arith, target: int, sparse: bool, tile: int, rows) -> tuple:
-    """What _one_qubit needs for gates of one mode on one target: the state
-    viewed as tiles, and per part the arrays it uses, prefixes of its row;
-    `arith` is the state's variant, or _CLAMP_FREE."""
-    n = state.n
-    stride = 1 << (n - target - 1)
+def _tile_kernel(planes: np.ndarray, arith: _Arith, target: int, sparse: bool, tile: int, rows) -> tuple:
+    """What _one_qubit needs for gates of one mode on one target: the planes
+    viewed as tiles, and per part the arrays it uses, prefixes of its row."""
+    stride = planes.shape[1] >> (target + 1)
     if stride >= tile:   # a tile is part of one block's offset range
-        view = state.planes.reshape(2, 1 << target, 2, stride // tile, tile).transpose(1, 3, 2, 0, 4)[..., None, :]
+        view = planes.reshape(2, 1 << target, 2, stride // tile, tile).transpose(1, 3, 2, 0, 4)[..., None, :]
     else:                # a tile is a group of whole blocks
-        view = state.planes.reshape(2, -1, tile // stride, 2, stride).transpose(1, 3, 0, 2, 4)[:, None]
+        view = planes.reshape(2, -1, tile // stride, 2, stride).transpose(1, 3, 0, 2, 4)[:, None]
         # offsets innermost, unless a block holds so few that a strided walk
         # over the blocks is cheaper than numpy's inner loops of length stride.
         # Both walks timed in turn in one warm process on a 2-vCPU Xeon
@@ -347,27 +344,19 @@ def _tile_kernel(state: StateVector, arith: _Arith, target: int, sparse: bool, t
     return view, view.shape[1], sparse, arith.narrow_product, arith.narrow_sum, bufs
 
 
-def _swap_parts(n: int, control: int, target: int, workers: int) -> list[range]:
-    """CX's blocks (the indices above both its bits) cut into parts."""
-    # at most one part per one-qubit tile: no part has less than a tile's work
-    return _split(1 << min(control, target), min(workers, (1 << (n - 1)) // _TILE))
-
-
-def _swap_views(state: StateVector, control: int, target: int, parts: list[range], rows) -> list:
-    """Per part: the two quarters CX swaps, where the control's stored bit
-    is 1, and a temporary, a prefix of its row."""
-    n = state.n
+def _swap_views(planes: np.ndarray, control: int, target: int, buf: np.ndarray) -> tuple:
+    """_swap's arguments: the two quarters of the planes CX swaps, where the
+    control's stored bit is 1, and a temporary, a prefix of `buf`.  A
+    permutation's bits do not depend on how it is cut, so it is one part."""
+    n = planes.shape[1].bit_length() - 1
     bc, bt = n - 1 - control, n - 1 - target
     hi, lo = max(bc, bt), min(bc, bt)
     # axis layout: (plane, pre, bit hi, mid, bit lo, post)
-    v = state.planes.reshape(2, 1 << (n - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
+    v = planes.reshape(2, 1 << (n - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
     # control the high bit: swap lo 0 <-> lo 1 where hi = 1; else hi 0 <-> hi 1 where lo = 1
     (ah, al), (bh, bl) = ((1, 0), (1, 1)) if bc > bt else ((0, 1), (1, 1))
-    views = []
-    for r, p in zip(rows, parts):
-        a, b = v[:, p.start:p.stop, ah, :, al], v[:, p.start:p.stop, bh, :, bl]
-        views.append((a, b, r[:a.size].reshape(a.shape)))
-    return views
+    a, b = v[:, :, ah, :, al], v[:, :, bh, :, bl]
+    return a, b, buf[:a.size].reshape(a.shape)
 
 
 # Words per float64 chunk of _raw_norm's sum: a 128 KiB chunk; 2^16 words
@@ -470,57 +459,52 @@ def _clamp_free(planes: np.ndarray, words: np.ndarray) -> bool:
 _GATHER = "gather"
 
 
-def _prepare(state: StateVector, classes: list, qubits: list, words: np.ndarray, workers: int,
-             clamp_free: bool) -> list:
-    """A plan: one _run_parts argument tuple per gate.
+def _prepare(planes: np.ndarray, arith: _Arith, classes: list, qubits: list, words: np.ndarray,
+             workers: int) -> list:
+    """A plan on these (2, 2^m) planes: one _run_parts argument tuple per
+    gate; `arith` gives the planes' words and the one-qubit gates' narrow
+    steps (their variant's, or _CLAMP_FREE).
 
     The host's share of the device loading each gate's context before the
-    sweep (pe_model.GATE_BYTES), once per plan against the state it
+    sweep (pe_model.GATE_BYTES), once per plan against the planes it
     updates.  `classes` and `qubits` describe the steps: a gather's qubits
     are its columns and offset (_gather_index).  `words` holds the
     one-qubit gates' entries in order, as _words lays them out.  Operands
     come from the words by one indexing per mode, tile views once per
-    target and mode, CX parts and views once per (control, target).  Tiles
-    of _TILE pairs are the unit of work and of sharding.  Each part owns
-    one row of a single flat buffer, and every tile shape's product,
-    scratch and widened tile, the CX temporary and a gather's copy of the
-    planes are reshaped prefixes of it: one cache-warm block.  A
-    clamp-free plan (_clamp_free) runs every one-qubit gate with the
-    _CLAMP_FREE steps, any other the clamping ones.
+    target and mode, swap views once per (control, target).  Tiles of
+    _TILE pairs are the unit of work and the only work sharded: a quarter
+    swap or a gather is one part.  Every tile shape's product, scratch and
+    widened tile (in a row per tile part), the swap temporary and a
+    gather's copy of the planes are reshaped prefixes of one flat buffer:
+    one cache-warm block.
     """
-    n = state.n
-    arith = _ARITH[state.arith]
+    n = planes.shape[1].bit_length() - 1
     pairs = 1 << (n - 1)
     tile = min(_TILE, pairs)
     tile_parts = _split(pairs // tile, workers)
     ones = {(qs[0], cls == SPARSE) for cls, qs in zip(classes, qubits) if cls in (SPARSE, DENSE)}
-    swap_parts = {qs: _swap_parts(n, *qs, workers) for cls, qs in zip(classes, qubits) if cls == CX}
 
-    # the flat buffer: one row per part, as long as the longest prefix: a
-    # product and a scratch of 1 or 2 terms x 2 halves x 2 planes and a
-    # widened tile per kernel, both planes of a CX part's quarter per swap
+    # a row per tile part, as long as the longest kernel's product and
+    # scratch of 1 or 2 terms x 2 halves x 2 planes and widened tile; a
+    # quarter of both planes per swap, or both planes per gather
     widened = 4 if arith.dtype is not arith.wide else 0
     per_wide = np.dtype(arith.wide).itemsize // np.dtype(arith.dtype).itemsize
-    lengths = [tile * ((8 if sparse else 16) + widened) for _, sparse in ones]
-    lengths += [-(-2 * len(parts[0]) * ((1 << (n - 2)) >> min(qs)) // per_wide) for qs, parts in swap_parts.items()]
-    counts = [len(tile_parts)] * bool(ones) + [len(parts) for parts in swap_parts.values()]
-    if _GATHER in classes:   # a gather's copy of both planes, in one part
-        lengths.append(-(-(2 << n) // per_wide))
-        counts.append(1)
-    buf = np.empty((max(counts, default=1), max(lengths, default=0)), arith.wide)
+    row = max((tile * ((8 if sparse else 16) + widened) for _, sparse in ones), default=0)
+    perm_words = 2 << n if _GATHER in classes else pairs if CX in classes else 0
+    buf = np.empty(max(len(tile_parts) * row, -(-perm_words // per_wide)), arith.wide)
 
-    steps_arith = _CLAMP_FREE if clamp_free else arith
-    kernels = {key: _tile_kernel(state, steps_arith, *key, tile, buf[:len(tile_parts)]) for key in ones}
-    swappers = {qs: (parts, _swap_views(state, *qs, parts, buf.view(arith.dtype))) for qs, parts in swap_parts.items()}
+    rows = buf[:len(tile_parts) * row].reshape(len(tile_parts), row)
+    kernels = {key: _tile_kernel(planes, arith, *key, tile, rows) for key in ones}
+    flat = buf.view(arith.dtype)
+    swaps = {qs: _swap_views(planes, *qs, flat) for cls, qs in zip(classes, qubits) if cls == CX}
     operands = {sparse: _operands(words, sparse, arith.wide) for sparse in {sparse for _, sparse in ones}}
     steps, j = [], 0
     for cls, qs in zip(classes, qubits):
         if cls == CX:
-            steps.append((_swap, *swappers[qs]))
+            steps.append((_swap, [range(1)], *swaps[qs]))
             continue
         if cls == _GATHER:
-            out = buf.view(arith.dtype)[0, :2 << n].reshape(2, -1)
-            steps.append((_gather, [range(1)], state.planes, _gather_index(*qs), out))
+            steps.append((_gather, [range(1)], planes, _gather_index(*qs), flat[:2 << n].reshape(2, -1)))
             continue
         ur, sgn = operands[cls == SPARSE]
         steps.append((_one_qubit, tile_parts, kernels[qs[0], cls == SPARSE], ur[j], sgn[j]))
@@ -700,13 +684,6 @@ def _frame_view(planes: np.ndarray, values: dict) -> np.ndarray:
     return planes.reshape((2,) + (2,) * len(axes))[(slice(None),) + axes]
 
 
-def _compact(planes: np.ndarray, arith: str) -> StateVector:
-    """A state over (2, 2^m) planes, m >= 0, unchecked: a run's compact state."""
-    sv = StateVector.__new__(StateVector)
-    sv.n, sv.arith, sv.planes = planes.shape[1].bit_length() - 1, arith, planes
-    return sv
-
-
 def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
              workers: int) -> tuple[bool, int, int]:
     """Run the gates on the state in place; returns the run's clamp_free,
@@ -714,46 +691,48 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     gathers).
 
     Clamp-freedom is one decision per run (_clamp_free), from the full
-    state and every word.  In a zero-absorbing arithmetic the run tracks
-    classical qubits (_classical, _track): it gathers the amplitudes that
-    can be nonzero into a compact state, runs each stretch between two
-    activations as one _prepare plan on it, and copies it back into the
-    full planes at the classical values, zeroing the rest.  A state
-    without classical qubits runs one plan in place, as does every float
-    run.  Either way CX is deferred as an index map (_track); what is left
-    of it at the end is materialized by the write-back's gather or by the
-    in-place plan's last step.
+    state and every word: a clamp-free run's plans take the _CLAMP_FREE
+    steps.  In a zero-absorbing arithmetic the run tracks classical qubits
+    (_classical, _track): it gathers the amplitudes that can be nonzero
+    into compact planes, runs each stretch between two activations as one
+    _prepare plan on them, and copies them back into the full planes at
+    the classical values, zeroing the rest.  A state without classical
+    qubits runs one plan in place, as does every float run.  Either way CX
+    is deferred as an index map (_track); what is left of it at the end is
+    materialized by the write-back's gather or by the in-place plan's last
+    step.
     """
     arith = _ARITH[state.arith]
     clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
     values = _classical(state.planes) if arith.zero_absorbing else {}
     stretches, end, last = _track(state.n, classes, qubits, words, values)
-    sv = _compact(np.array(_frame_view(state.planes, values)).reshape(2, -1), state.arith) if values else state
+    planes = np.array(_frame_view(state.planes, values)).reshape(2, -1) if values else state.planes
+    steps_arith = _CLAMP_FREE if clamp_free else arith
     # the words' entries and a zero one; without classical qubits every step is its gate, words and all
     entries = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype))) if values else None
     swept = passes = 0
     for step_classes, step_qubits, picks, position in stretches:
         if step_classes:
             step_words = entries[picks].reshape(-1, 4, 2) if values else words
-            plan = _prepare(sv, step_classes, step_qubits, step_words, workers, clamp_free)
+            plan = _prepare(planes, steps_arith, step_classes, step_qubits, step_words, workers)
             for step in plan:
                 _run_parts(*step)
-            swept += len(plan) << sv.n
+            swept += len(plan) * planes.shape[1]
             passes += step_classes.count(CX) + step_classes.count(_GATHER)
         if position is not None:
-            planes = np.zeros((2, 2 << sv.n), sv.planes.dtype)
-            planes.reshape(2, 1 << position, 2, -1)[:, :, 0] = sv.planes.reshape(2, 1 << position, -1)
-            sv = _compact(planes, state.arith)
+            wider = np.zeros((2, 2 * planes.shape[1]), planes.dtype)
+            wider.reshape(2, 1 << position, 2, -1)[:, :, 0] = planes.reshape(2, 1 << position, -1)
+            planes = wider
     if values:
         if end:
             state.planes[:] = 0
         view = _frame_view(state.planes, end)
         if last is None:
-            view[...] = sv.planes.reshape(view.shape)
+            view[...] = planes.reshape(view.shape)
         else:   # the map materialized by the write-back; it counts as a pass when it holds CXs
             columns, offset, moved = last
-            np.take(sv.planes, _gather_index(columns, offset).reshape(view.shape[1:]), axis=1, out=view, mode="clip")
-            swept += moved << sv.n
+            np.take(planes, _gather_index(columns, offset).reshape(view.shape[1:]), axis=1, out=view, mode="clip")
+            swept += moved * planes.shape[1]
             passes += moved
     return clamp_free, swept, passes
 
@@ -912,7 +891,8 @@ def _line_heads(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     for k in range(width - 1, -1, -1):
         index, digit = np.divmod(index, 10)
         heads[:, k] = digit + ord("0")
-    nibbles = _HEX_CHARS[(words[:, lo:hi, None] >> _NIBBLES) & 15]
+    # the nibbles narrowed to uint8: a lookup through them is cheaper than through uint32 words
+    nibbles = np.take(_HEX_CHARS, (words[:, lo:hi, None] >> _NIBBLES).astype(np.uint8) & 15)
     heads[:, width + 1:width + 9], heads[:, width + 10:width + 18] = nibbles
     return heads.view(f"S{width + 19}")[:, 0]
 

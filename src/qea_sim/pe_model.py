@@ -9,16 +9,18 @@ costs an SU two cycles, and a sparse gate runs in exactly half the cycles
 of a dense gate on the same register size.
 
 Amplitude pairs whose two indices live in different PE blocks pay a
-configurable cross-PE access penalty; a pair at stride g crosses blocks
-iff g >= block_size.  These are throughput formulas, not a cycle-accurate
-interconnect simulation.
+configurable cross-PE access penalty.  A gate on target qubit t (a CX's
+second qubit) pairs indices at stride 2^(n-1-t), and the blocks hold
+2^n / num_pes amplitudes, so its pairs cross blocks, all of them, iff
+stride >= block_size, that is iff t < log2(num_pes).  These are
+throughput formulas, not a cycle-accurate interconnect simulation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
-from .circuit import CX, SPARSE, TranspiledCircuit, classify
+from .circuit import CX, DENSE, SPARSE, TranspiledCircuit, classify
 
 STATE_BYTES_PER_AMP = 8       # two 32-bit words
 GATE_BYTES = 32               # four complex entries, real/imag only
@@ -122,30 +124,35 @@ def cx_gate_cycles(n: int, cfg: PEConfig = PEConfig()) -> int:
 
 
 def estimate_cycles(tc: TranspiledCircuit, cfg: PEConfig = PEConfig()) -> CycleReport:
+    """The circuit's cycles as closed forms: each class's gate count times
+    its *_gate_cycles, and the pairs of the gates that cross PE blocks
+    (module docstring) times the penalty.  ValueError when the total is
+    not a finite float."""
     n = tc.n
-    layout = partition_state(n, cfg)
-    block = layout.block_size
-    rep = CycleReport(n=n, freq_hz=cfg.freq_hz)
+    partition_state(n, cfg)
+    gates = {SPARSE: 0, DENSE: 0, CX: 0}
+    crossing = {SPARSE: 0, DENSE: 0, CX: 0}
+    pe_bits = cfg.num_pes.bit_length() - 1
     for g in tc.gates:
         cls = classify(g)
-        if cls == CX:
-            rep.cx_gates += 1
-            rep.cx_cycles += cx_gate_cycles(n, cfg)
-            stride = 1 << (n - 1 - g.qubits[1])
-            pairs = 1 << (n - 2)
-        else:
-            stride = 1 << (n - 1 - g.qubits[0])
-            pairs = 1 << (n - 1)
-            if cls == SPARSE:
-                rep.sparse_gates += 1
-                rep.sparse_cycles += sparse_gate_cycles(n, cfg)
-            else:
-                rep.dense_gates += 1
-                rep.dense_cycles += dense_gate_cycles(n, cfg)
-        if stride >= block:
-            rep.cross_pe_accesses += pairs
-            rep.cross_pe_cycles += pairs * cfg.cross_pe_penalty_cycles
-    rep.overhead_cycles = cfg.per_gate_overhead_cycles * rep.total_gates
+        gates[cls] += 1
+        crossing[cls] += g.qubits[-1] < pe_bits
+    # a one-qubit gate has 2^(n-1) pairs, a CX 2^(n-2); n = 1 has no CX, and
+    # cx_gate_cycles(1) would shift by -1, so neither is evaluated there
+    accesses = (crossing[SPARSE] + crossing[DENSE]) * (1 << (n - 1)) + crossing[CX] * ((1 << n) >> 2)
+    rep = CycleReport(
+        n=n, sparse_gates=gates[SPARSE], dense_gates=gates[DENSE], cx_gates=gates[CX],
+        sparse_cycles=gates[SPARSE] * sparse_gate_cycles(n, cfg),
+        dense_cycles=gates[DENSE] * dense_gate_cycles(n, cfg),
+        cx_cycles=gates[CX] and gates[CX] * cx_gate_cycles(n, cfg),
+        cross_pe_accesses=accesses, cross_pe_cycles=accesses * cfg.cross_pe_penalty_cycles,
+        overhead_cycles=cfg.per_gate_overhead_cycles * len(tc.gates), freq_hz=cfg.freq_hz)
+    try:
+        finite = math.isfinite(rep.total_cycles)
+    except OverflowError:   # an int sum too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{n} qubits, {len(tc.gates)} gates: the cycle total overflows a float")
     return rep
 
 

@@ -227,6 +227,23 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,text", [
+        ("huge.qc", "qubits 3000\nh 0\n"),                       # refused by its n, before any cycle count
+        ("wide.qc", "qubits 1023\n" + "h 0\n" * 40),              # the cycle total overflows a float
+        ("wide.json", json.dumps({"n": 1023, "gates": [{"kind": "h", "qubits": [0]}] * 40})),
+        (None, None),                                                # the same from a generator spec
+    ], ids=["qc-3000", "qc-1023", "json-1023", "generated-1023"])
+    def test_estimate_cycle_overflow_refused(self, tmp_path, capsys, name, text):
+        if name is None:
+            source = ("--generate", "template:rotation:1023:2")
+        else:
+            (tmp_path / name).write_text(text)
+            source = (str(tmp_path / name),)
+        code, out, err = run_cli(capsys, "estimate", "--qubits", "4", *source)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""   # no table row
+
     @pytest.mark.parametrize("argv", [
         ("bench", "qft", "--qubits", "3", "--freq", "nan", "--repeats", "1"),
         ("bench", "qft", "--qubits", "3", "--freq", "inf", "--repeats", "1"),

@@ -457,6 +457,22 @@ class TestCxPasses:
             apply_cx(sv, 4, 1)
         assert (swap.call_count, gather.call_count) == (1, 0)
 
+    def test_permutation_passes_are_one_part(self):
+        # one-pair tiles and 3 workers shard every one-qubit gate; the quarter
+        # swap of CX(1, 2) before H(2) and the gather of CX(1, 3), CX(2, 3)
+        # before H(3) each run as one part
+        gates = [Gate(GateKind.CX, (1, 2)), Gate(GateKind.H, (2,)),
+                 Gate(GateKind.CX, (1, 3)), Gate(GateKind.CX, (2, 3)), Gate(GateKind.H, (3,))]
+        tc = transpile(Circuit(4, tuple(gates)))
+        psi = oracles.random_state(4, np.random.default_rng(137))
+        a, b = StateVector.from_complex(psi), StateVector.from_complex(psi)
+        with mock.patch.object(engine, "_TILE", 1), \
+                mock.patch.object(engine, "_swap", wraps=engine._swap) as swap, \
+                mock.patch.object(engine, "_gather", wraps=engine._gather) as gather:
+            _, stats = run_circuit(tc, a, 3)
+        assert (stats.cx_passes, swap.call_count, gather.call_count) == (2, 1, 1)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+
     def test_cancelled_pair_makes_no_pass(self):
         rng = np.random.default_rng(127)
         psi = oracles.random_state(5, rng)

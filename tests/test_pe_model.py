@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qea_sim.circuit import Circuit, Gate, GateKind, transpile
+from qea_sim.circuit import CX, PARAMETERIZED, SPARSE, TWO_QUBIT, Circuit, Gate, GateKind, classify, transpile
 from qea_sim.generators import generate_qft
 from qea_sim.pe_model import (CONTROLLER_BYTES, GATE_BYTES, CycleReport,
                               PEConfig, calibrate_overhead,
@@ -122,6 +125,68 @@ class TestCycleFormulas:
                                     + rep.cx_cycles + rep.cross_pe_cycles
                                     + rep.overhead_cycles)
         assert rep.total_gates == len(transpile(generate_qft(6)).gates)
+
+
+def _per_gate_cycles(tc, cfg):
+    """The cycle model gate by gate: each gate's class cycles, and its pairs
+    times the penalty where its stride reaches the PE block size."""
+    n = tc.n
+    block = partition_state(n, cfg).block_size
+    rep = CycleReport(n=n, freq_hz=cfg.freq_hz)
+    for g in tc.gates:
+        cls = classify(g)
+        if cls == CX:
+            rep.cx_gates += 1
+            rep.cx_cycles += cx_gate_cycles(n, cfg)
+            stride = 1 << (n - 1 - g.qubits[1])
+            pairs = 1 << (n - 2)
+        else:
+            stride = 1 << (n - 1 - g.qubits[0])
+            pairs = 1 << (n - 1)
+            if cls == SPARSE:
+                rep.sparse_gates += 1
+                rep.sparse_cycles += sparse_gate_cycles(n, cfg)
+            else:
+                rep.dense_gates += 1
+                rep.dense_cycles += dense_gate_cycles(n, cfg)
+        if stride >= block:
+            rep.cross_pe_accesses += pairs
+            rep.cross_pe_cycles += pairs * cfg.cross_pe_penalty_cycles
+    rep.overhead_cycles = cfg.per_gate_overhead_cycles * rep.total_gates
+    return rep
+
+
+_KINDS = [GateKind.H, GateKind.S, GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CX, GateKind.CP, GateKind.SWAP]
+
+
+@st.composite
+def _transpiled(draw):
+    """A transpiled circuit of 0-40 gates on n = 1-14 qubits (no CX at n = 1)."""
+    n = draw(st.integers(1, 14))
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(_KINDS if n > 1 else _KINDS[:5]))
+        if kind in TWO_QUBIT:
+            qs = tuple(draw(st.lists(qubit, min_size=2, max_size=2, unique=True)))
+        else:
+            qs = (draw(qubit),)
+        gates.append(Gate(kind, qs, 0.5 if kind in PARAMETERIZED else None))
+    return transpile(Circuit(n, tuple(gates)))
+
+
+class TestCycleOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tc=_transpiled(), pe_bits=st.integers(0, 4), sus=st.integers(1, 3),
+           penalty=st.integers(0, 3), overhead=st.sampled_from([0, 2.5]))
+    def test_matches_per_gate_model(self, tc, pe_bits, sus, penalty, overhead):
+        # every field, in value and type, against the gate-by-gate stride walk
+        cfg = PEConfig(num_pes=1 << min(pe_bits, tc.n), sus_per_pe=sus, cross_pe_penalty_cycles=penalty,
+                       per_gate_overhead_cycles=overhead)
+        got, want = estimate_cycles(tc, cfg), _per_gate_cycles(tc, cfg)
+        fields = [f.name for f in dataclasses.fields(CycleReport)]
+        assert [(getattr(got, f), type(getattr(got, f))) for f in fields] == \
+            [(getattr(want, f), type(getattr(want, f))) for f in fields]
 
 
 class TestModeledTime:
