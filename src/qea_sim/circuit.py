@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,20 +96,18 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class TranspiledCircuit:
-    """Executable-set gates plus the phase accumulated while rewriting."""
+class TranspiledCircuit(Circuit):
+    """Executable-set gates plus the phase accumulated while rewriting, checked
+    as a Circuit, with each gate's class (classify) worked out once, here."""
 
-    n: int
-    gates: tuple[Gate, ...]
     global_phase: float = 0.0
+    classes: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.global_phase):
             raise ValueError(f"global phase must be finite, got {self.global_phase!r}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if g.kind in COMPOSITE:
-                raise ValueError(f"composite gate {g.kind.value} in transpiled circuit")
+        super().__post_init__()
+        object.__setattr__(self, "classes", tuple(map(classify, self.gates)))
 
     def as_circuit(self) -> Circuit:
         return Circuit(self.n, self.gates)
@@ -275,14 +273,21 @@ def circuit_to_dict(c: Circuit | TranspiledCircuit) -> dict:
     return d
 
 
+def _not_bool(v):
+    """v, refused if it is a bool: Python reads JSON true and false as the numbers 1 and 0."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {str(v).lower()}")
+    return v
+
+
 def circuit_from_dict(d: dict) -> Circuit | TranspiledCircuit:
     """Inverse of circuit_to_dict; raises CircuitParseError on a malformed dict."""
     try:
         # operator.index rejects non-integer counts and qubits; Circuit checks ranges
-        gates = tuple(Gate(GateKind(g["kind"]), tuple(map(operator.index, g["qubits"])), g.get("angle"))
-                      for g in d["gates"])
-        c = Circuit(operator.index(d["n"]), gates)
-        return TranspiledCircuit(c.n, c.gates, d["global_phase"]) if "global_phase" in d else c
+        gates = tuple(Gate(GateKind(g["kind"]), tuple(operator.index(_not_bool(q)) for q in g["qubits"]),
+                           _not_bool(g.get("angle"))) for g in d["gates"])
+        n = operator.index(_not_bool(d["n"]))
+        return TranspiledCircuit(n, gates, _not_bool(d["global_phase"])) if "global_phase" in d else Circuit(n, gates)
     except KeyError as exc:
         raise CircuitParseError(f"missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

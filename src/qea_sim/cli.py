@@ -67,7 +67,11 @@ def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
     """A transpiled JSON circuit is returned as is, keeping its global phase."""
     text = Path(path).read_text()
     if path.endswith(".json"):
-        return Path(path).stem, circuit_from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise CircuitParseError("JSON nested too deeply") from None
+        return Path(path).stem, circuit_from_dict(doc)
     return Path(path).stem, parse_circuit(text)
 
 
@@ -103,11 +107,6 @@ def _parse_qubit_range(text: str, check) -> range:
 def _check_float_state(n: int) -> None:
     # bench and compare also run the float reference, the larger state
     check_fits(n, FLOAT)
-
-
-def _check_estimate(n: int) -> None:
-    if n >= sys.float_info.max_exp:   # the memory ratio and the cycle counts, about 2^n, must be finite floats
-        raise ValueError(f"{n} qubits: the model's figures, about 2^{n}, overflow a float")
 
 
 def _pe_config(args) -> pe_model.PEConfig:
@@ -209,13 +208,13 @@ def cmd_estimate(args) -> int:
     cfg = _pe_config(args)
     name, tc = None, None
     if args.generate or args.circuit:
-        name, circ = _resolve_source(args, _check_estimate)
+        name, circ = _resolve_source(args, pe_model.check_figures)
         tc = transpile(circ)
     gates = len(tc.gates) if tc is not None else 0
     rep = pe_model.estimate_cycles(tc, cfg) if tc is not None else None   # may refuse: before any row
 
     rows = []
-    for n in _parse_qubit_range(args.qubits, _check_estimate):
+    for n in _parse_qubit_range(args.qubits, pe_model.check_figures):
         qea = pe_model.estimate_memory_qea(n, gates)
         mm = pe_model.estimate_memory_matmul(n)
         rows.append({"n": n, "gates": gates, "qea_bytes": qea,

@@ -17,8 +17,8 @@ quarter swap when the map is one CX and by one gather otherwise (_track).
 Pairs within one gate are disjoint, so the pair space can be sharded
 across workers with bit-identical results.
 
-run_circuit prepares each plan once (_prepare): every gate classified and
-quantized, views and kernel buffers set up, before the plan's first update.
+run_circuit prepares each plan once (_prepare), on the circuit's classes:
+every gate quantized, views and kernel buffers set up, before the first update.
 apply_1q and apply_cx are one-gate plans: all three run through _execute.
 
 In fixed point zero is absorbing: a product with a zero word rounds to
@@ -248,7 +248,7 @@ def _one_qubit(tiles, ur, sgn, i: int, part: range) -> None:
     place on the buffers; the last one writes the tile's outputs.
     Complex arithmetic stays in separately rounded real ufuncs, which never
     fuse a multiply and an add: numpy's complex multiply may contract with
-    FMA, which would break bit-identity with the scalar flag-loop kernel.
+    FMA, which would break bit-identity with the scalar flag-loop oracle.
     (-ui)*xi is exactly -(ui*xi) and a + (-b) is exactly a - b in IEEE-754,
     so the float kernel computes ur*xr - ui*xi, ur*xi + ui*xr bit for bit.
     """
@@ -574,7 +574,6 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
     the last); the classical values at the end; and, for a tracked run
     whose map or active b is not trivial, the write-back's gather as
     (columns, offset, whether the map is not the identity), else None.
-    Raises ValueError for a qubit out of range or a CX on one qubit.
     """
     frame = [values.get(q, 0) for q in range(n)]
     rank = {q: i for i, q in enumerate(q for q in range(n) if q not in values)}
@@ -626,13 +625,8 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
 
     j = -1
     for cls, qs in zip(classes, qubits):
-        for q in qs:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
         if cls == CX:
             c, t = qs
-            if c == t:
-                raise ValueError("control and target must differ")
             if c in rank:
                 if t not in rank:
                     activate(t)
@@ -743,6 +737,8 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
     raw Q2.30 integer words of modulus at most 2 (re^2 + im^2 <= 2^62), so
     each sum of the kernel's 64-bit cross terms stays within 2^62.5;
     ValueError otherwise."""
+    if not 0 <= app.target < state.n:
+        raise ValueError(f"qubit {app.target} out of range for n={state.n}")
     entries = (app.u00, app.u01, app.u10, app.u11)
     if state.arith == FIXED:
         raw = all(isinstance(v, (int, np.integer)) and fx.RAW_MIN <= v <= fx.RAW_MAX for u in entries for v in u)
@@ -755,6 +751,11 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
 def apply_cx(state: StateVector, control: int, target: int, workers: int = 1) -> StateVector:
     """In-place CX: swap amplitude pairs with control bit 1 across the
     target bit.  A one-gate plan (_execute), which has no words."""
+    for q in (control, target):
+        if not 0 <= q < state.n:
+            raise ValueError(f"qubit {q} out of range for n={state.n}")
+    if control == target:
+        raise ValueError("control and target must differ")
     _execute(state, [CX], [(control, target)], np.empty(0, state.planes.dtype), workers)
     return state
 
@@ -777,17 +778,16 @@ class RunStats:
 def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     """Apply the transpiled gates in order (in place); returns (state, stats).
 
-    The run classifies and quantizes every gate once and prepares its plan
-    against the state, then executes it; the counts come from the plan.
+    The run quantizes every gate once and prepares its plan against the
+    state, then executes it; the counts come from the circuit's classes.
     """
     if tc.n != state.n:
         raise ValueError(f"circuit has {tc.n} qubits, state has {state.n}")
     t0 = time.perf_counter()
-    classes = [classify(g) for g in tc.gates]
-    matrices = [gate_matrix(g) for g, cls in zip(tc.gates, classes) if cls != CX]
+    matrices = [gate_matrix(g) for g, cls in zip(tc.gates, tc.classes) if cls != CX]
     words = _words(np.array(matrices, np.complex128).reshape(-1, 2, 2), state.arith)
-    clamp_free, swept, passes = _execute(state, classes, [g.qubits for g in tc.gates], words, workers)
-    counts = classes.count(SPARSE), classes.count(DENSE), classes.count(CX)
+    clamp_free, swept, passes = _execute(state, tc.classes, [g.qubits for g in tc.gates], words, workers)
+    counts = tc.classes.count(SPARSE), tc.classes.count(DENSE), tc.classes.count(CX)
     return state, RunStats(*counts, time.perf_counter() - t0, clamp_free, swept, passes)
 
 
@@ -799,70 +799,6 @@ def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -
     """
     out, _ = run_circuit(tc, StateVector.from_complex(state.to_complex(), FLOAT), workers)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Literal flag-toggling sweep, kept as a cross-check for the kernels above.
-# The printed loop updates psi[i] only at index i; run as written, the
-# dense branch would read a partner that was already overwritten.  A
-# buffer holding the previous sub-group (one slot per offset) restores
-# pair atomicity while preserving the loop's exact visit order.
-# ---------------------------------------------------------------------------
-
-def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
-    n = state.n
-    stride = 1 << (n - app.target - 1)
-    size = 1 << n
-    fixed = state.arith == FIXED
-    sparse = app.mode == SPARSE
-    re, im = state.planes
-
-    if fixed:
-        def pack(r, i):
-            return fx.FixedComplex(fx.Fixed(int(r)), fx.Fixed(int(i)))
-
-        def write(i, v):
-            re[i] = v.re.raw
-            im[i] = v.im.raw
-
-        mul, add = fx.cmul, fx.cadd
-    else:
-        def pack(r, i):
-            return complex(float(r), float(i))
-
-        def write(i, v):
-            re[i] = v.real
-            im[i] = v.imag
-
-        def mul(a, b):
-            # same rounding sequence as the vectorized kernel
-            return complex(a.real * b.real - a.imag * b.imag,
-                           a.real * b.imag + a.imag * b.real)
-
-        def add(a, b):
-            return complex(a.real + b.real, a.imag + b.imag)
-
-    def read(i):
-        return pack(re[i], im[i])
-
-    u00, u01, u10, u11 = (pack(*u) for u in (app.u00, app.u01, app.u10, app.u11))
-    buf = [None] * stride
-    flag = 1
-    for i in range(size):
-        if flag:
-            if sparse:
-                write(i, mul(u00, read(i)))
-            else:
-                buf[i % stride] = read(i)
-                write(i, add(mul(u00, read(i)), mul(u01, read(i + stride))))
-        else:
-            if sparse:
-                write(i, mul(u11, read(i)))
-            else:
-                write(i, add(mul(u10, buf[i % stride]), mul(u11, read(i))))
-        if i % stride == stride - 1:
-            flag ^= 1
-    return state
 
 
 # ---------------------------------------------------------------------------

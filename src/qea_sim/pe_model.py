@@ -18,9 +18,10 @@ throughput formulas, not a cycle-accurate interconnect simulation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from .circuit import CX, DENSE, SPARSE, TranspiledCircuit, classify
+from .circuit import CX, DENSE, SPARSE, TranspiledCircuit
 
 STATE_BYTES_PER_AMP = 8       # two 32-bit words
 GATE_BYTES = 32               # four complex entries, real/imag only
@@ -71,7 +72,7 @@ class MemoryLayout:
 
 def partition_state(n: int, cfg: PEConfig = PEConfig()) -> MemoryLayout:
     """Equal contiguous blocks of the 2^n amplitudes, one per PE."""
-    if (1 << n) < cfg.num_pes:
+    if n < cfg.num_pes.bit_length() - 1:   # 2^n < num_pes, a power of two, without building 2^n
         raise ValueError(f"2^{n} amplitudes cannot cover {cfg.num_pes} PEs")
     return MemoryLayout(n, cfg.num_pes)
 
@@ -104,6 +105,13 @@ class CycleReport:
         return self.total_cycles / self.freq_hz
 
 
+def check_figures(n: int) -> None:
+    """ValueError when the model's figures for n qubits, about 2^n, would
+    overflow a float; checked before any of them is built."""
+    if n >= sys.float_info.max_exp:
+        raise ValueError(f"{n} qubits: the model's figures, about 2^{n}, overflow a float")
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -127,14 +135,14 @@ def estimate_cycles(tc: TranspiledCircuit, cfg: PEConfig = PEConfig()) -> CycleR
     """The circuit's cycles as closed forms: each class's gate count times
     its *_gate_cycles, and the pairs of the gates that cross PE blocks
     (module docstring) times the penalty.  ValueError when the total is
-    not a finite float."""
+    not a finite float, or when n fails check_figures."""
     n = tc.n
+    check_figures(n)
     partition_state(n, cfg)
     gates = {SPARSE: 0, DENSE: 0, CX: 0}
     crossing = {SPARSE: 0, DENSE: 0, CX: 0}
     pe_bits = cfg.num_pes.bit_length() - 1
-    for g in tc.gates:
-        cls = classify(g)
+    for cls, g in zip(tc.classes, tc.gates):
         gates[cls] += 1
         crossing[cls] += g.qubits[-1] < pe_bits
     # a one-qubit gate has 2^(n-1) pairs, a CX 2^(n-2); n = 1 has no CX, and

@@ -1,13 +1,20 @@
 """Independent brute-force references used across the test suite.
 
-Everything here is built from explicit matrix definitions and full
+The matrices here are built from explicit definitions and full
 2^n x 2^n linear algebra, deliberately sharing no code with the engine's
 stride kernels or the transpiler.  Qubit 0 is the most significant index
-bit, matching the package convention.
+bit, matching the package convention.  apply_1q_flagloop is the literal
+flag-toggling sweep, one amplitude at a time in the scalar fixedpoint
+arithmetic (or complex floats): the bit-exact reference for the engine's
+one-qubit kernels.
 """
 import math
 
 import numpy as np
+
+from qea_sim import fixedpoint as fx
+from qea_sim.circuit import SPARSE
+from qea_sim.engine import FIXED, GateApplication, StateVector
 
 
 def mat_h():
@@ -119,3 +126,67 @@ def dft_matrix(n):
 def random_state(n, rng):
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return v / np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# Literal flag-toggling sweep, the cross-check for the engine's kernels.
+# The printed loop updates psi[i] only at index i; run as written, the
+# dense branch would read a partner that was already overwritten.  A
+# buffer holding the previous sub-group (one slot per offset) restores
+# pair atomicity while preserving the loop's exact visit order.
+# ---------------------------------------------------------------------------
+
+def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
+    n = state.n
+    stride = 1 << (n - app.target - 1)
+    size = 1 << n
+    fixed = state.arith == FIXED
+    sparse = app.mode == SPARSE
+    re, im = state.planes
+
+    if fixed:
+        def pack(r, i):
+            return fx.FixedComplex(fx.Fixed(int(r)), fx.Fixed(int(i)))
+
+        def write(i, v):
+            re[i] = v.re.raw
+            im[i] = v.im.raw
+
+        mul, add = fx.cmul, fx.cadd
+    else:
+        def pack(r, i):
+            return complex(float(r), float(i))
+
+        def write(i, v):
+            re[i] = v.real
+            im[i] = v.imag
+
+        def mul(a, b):
+            # same rounding sequence as the vectorized kernel
+            return complex(a.real * b.real - a.imag * b.imag,
+                           a.real * b.imag + a.imag * b.real)
+
+        def add(a, b):
+            return complex(a.real + b.real, a.imag + b.imag)
+
+    def read(i):
+        return pack(re[i], im[i])
+
+    u00, u01, u10, u11 = (pack(*u) for u in (app.u00, app.u01, app.u10, app.u11))
+    buf = [None] * stride
+    flag = 1
+    for i in range(size):
+        if flag:
+            if sparse:
+                write(i, mul(u00, read(i)))
+            else:
+                buf[i % stride] = read(i)
+                write(i, add(mul(u00, read(i)), mul(u01, read(i + stride))))
+        else:
+            if sparse:
+                write(i, mul(u11, read(i)))
+            else:
+                write(i, add(mul(u10, buf[i % stride]), mul(u11, read(i))))
+        if i % stride == stride - 1:
+            flag ^= 1
+    return state

@@ -292,3 +292,27 @@ class TestValidation:
             Circuit(2, (Gate(GateKind.H, (2,)),))
         with pytest.raises(ValueError):
             Circuit(0, ())
+
+    @pytest.mark.parametrize("n,gates", [
+        (0, ()),
+        (-2, ()),
+        (3, (Gate(GateKind.H, (7,)), Gate(GateKind.CX, (0, 9)))),
+        (3, (Gate(GateKind.CX, (0, 9)),)),
+        (3, (Gate(GateKind.RZ, (-1,), 0.5),)),
+    ])
+    def test_transpiled_checked_as_circuit(self, n, gates):
+        # every run and cycle estimate takes a TranspiledCircuit, so this is
+        # the one check that keeps them from a bad n or qubit
+        with pytest.raises(ValueError) as want:
+            Circuit(n, gates)
+        with pytest.raises(ValueError) as got:
+            TranspiledCircuit(n, gates, 0.25)
+        assert str(got.value) == str(want.value)
+
+    def test_transpiled_classes(self):
+        tc = transpile(generate_qft(5))
+        assert tc.classes == tuple(classify(g) for g in tc.gates)
+        assert tc.classes.count(CX) == 2 * 10 + 3 * 2
+        assert "classes" not in repr(tc)
+        assert tc == TranspiledCircuit(tc.n, tc.gates, tc.global_phase)
+        assert hash(tc) == hash(TranspiledCircuit(tc.n, tc.gates, tc.global_phase))

@@ -266,10 +266,23 @@ class TestExitCodes:
         {"n": 2, "gates": [{"kind": "h", "qubits": [5]}]},
         {"n": 2, "gates": [], "global_phase": None},
         [1, 2],
+        {"n": True, "gates": []},                                      # JSON true is not the number 1
+        {"n": 2, "gates": [{"kind": "h", "qubits": [True]}]},
+        {"n": 2, "gates": [{"kind": "h", "qubits": [False]}]},
+        {"n": 2, "gates": [], "global_phase": True},
+        {"n": 2, "gates": [{"kind": "rz", "qubits": [0], "angle": True}]},
     ])
     def test_malformed_json_circuit(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", str(p))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deeply_nested_json_circuit(self, tmp_path, capsys):
+        # json.dumps cannot build it; json.loads would raise RecursionError
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 10**5 + "]" * 10**5)
         code, out, err = run_cli(capsys, "run", str(p))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import apply_1q_flagloop
 from qea_sim import engine
 from qea_sim import fixedpoint as fx
 from qea_sim.circuit import DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, gate_matrix, transpile
 from qea_sim.engine import (FIXED, FLOAT, GateApplication, StateVector,
-                            apply_1q, apply_1q_flagloop, apply_cx,
+                            apply_1q, apply_cx,
                             format_dump, make_application, parse_dump,
                             reference_run, run_circuit)
 from qea_sim.generators import generate_qft, generate_template

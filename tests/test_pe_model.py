@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qea_sim.circuit import CX, PARAMETERIZED, SPARSE, TWO_QUBIT, Circuit, Gate, GateKind, classify, transpile
+from qea_sim.circuit import (CX, PARAMETERIZED, SPARSE, TWO_QUBIT, Circuit, Gate, GateKind, TranspiledCircuit,
+                             classify, transpile)
 from qea_sim.generators import generate_qft
 from qea_sim.pe_model import (CONTROLLER_BYTES, GATE_BYTES, CycleReport,
                               PEConfig, calibrate_overhead,
@@ -125,6 +128,21 @@ class TestCycleFormulas:
                                     + rep.cx_cycles + rep.cross_pe_cycles
                                     + rep.overhead_cycles)
         assert rep.total_gates == len(transpile(generate_qft(6)).gates)
+
+    def test_huge_n_refused_before_building_2_to_the_n(self):
+        tc = TranspiledCircuit(10**7, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"10000000 qubits: the model's figures, about 2\^10000000, overflow"):
+                estimate_cycles(tc)
+            assert partition_state(10**7).n == 10**7
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError):
+            estimate_cycles(TranspiledCircuit(sys.float_info.max_exp, ()))
+        assert estimate_cycles(TranspiledCircuit(sys.float_info.max_exp - 1, ())).total_cycles == 0
 
 
 def _per_gate_cycles(tc, cfg):
