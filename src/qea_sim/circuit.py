@@ -62,6 +62,16 @@ class CircuitParseError(ValueError):
         super().__init__(prefix + message)
 
 
+_INT = frozenset({int})   # a tuple of only these qubit types is stored as it is
+
+
+def _not_bool(v):
+    """v, refused if it is a bool: Python reads JSON true and false as the numbers 1 and 0."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {str(v).lower()}")
+    return v
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: GateKind
@@ -69,6 +79,11 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
+        if type(self.qubits) is not tuple or not _INT.issuperset(map(type, self.qubits)):
+            # operator.index turns np.int64 and the like into int and refuses a
+            # float; it takes a bool as an int, so a bool is refused before it
+            object.__setattr__(self, "qubits", tuple([operator.index(_not_bool(q)) for q in self.qubits]))
+        _not_bool(self.angle)
         arity = 2 if self.kind in TWO_QUBIT else 1
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind.value} takes {arity} qubit(s), got {len(self.qubits)}")
@@ -273,19 +288,11 @@ def circuit_to_dict(c: Circuit | TranspiledCircuit) -> dict:
     return d
 
 
-def _not_bool(v):
-    """v, refused if it is a bool: Python reads JSON true and false as the numbers 1 and 0."""
-    if isinstance(v, bool):
-        raise TypeError(f"expected a number, got {str(v).lower()}")
-    return v
-
-
 def circuit_from_dict(d: dict) -> Circuit | TranspiledCircuit:
     """Inverse of circuit_to_dict; raises CircuitParseError on a malformed dict."""
     try:
-        # operator.index rejects non-integer counts and qubits; Circuit checks ranges
-        gates = tuple(Gate(GateKind(g["kind"]), tuple(operator.index(_not_bool(q)) for q in g["qubits"]),
-                           _not_bool(g.get("angle"))) for g in d["gates"])
+        # Gate refuses non-integer and bool qubits and a bool angle; Circuit checks ranges
+        gates = tuple(Gate(GateKind(g["kind"]), g["qubits"], g.get("angle")) for g in d["gates"])
         n = operator.index(_not_bool(d["n"]))
         return TranspiledCircuit(n, gates, _not_bool(d["global_phase"])) if "global_phase" in d else Circuit(n, gates)
     except KeyError as exc:

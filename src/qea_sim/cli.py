@@ -145,26 +145,23 @@ def _bench_suite(args):
     abort the suite."""
     what = args.what
     if what == "qft":
-        return [(f"qft:{n}", lambda n=n: generate_qft(n))
-                for n in _parse_qubit_range(args.qubits or "3..10", _check_float_state)]
-    if what == "template":
+        specs = [f"qft:{n}" for n in _parse_qubit_range(args.qubits or "3..10", _check_float_state)]
+    elif what == "template":
         if not args.topology:
             raise ValueError("bench template requires --topology")
-        suite = []
-        for n in _parse_qubit_range(args.qubits or "4", _check_float_state):
-            name = f"template:{args.topology}:{n}:{args.layers}:{args.seed}"
-            suite.append((name, lambda n=n: generate_template(args.topology, n, args.layers, args.seed)))
+        specs = [f"template:{args.topology}:{n}:{args.layers}:{args.seed}"
+                 for n in _parse_qubit_range(args.qubits or "4", _check_float_state)]
+    else:   # a directory of circuit files
+        root = Path(what)
+        if not root.is_dir():
+            raise ValueError(f"{what!r} is not 'qft', 'template', or a circuit directory")
+        suite = [(path.stem, lambda path=path: load_circuit_file(str(path))[1])
+                 for path in sorted(root.iterdir())
+                 if path.suffix in (".qc", ".txt", ".json")]
+        if not suite:
+            raise ValueError(f"no circuit files found under {what!r}")
         return suite
-    # otherwise: a directory of circuit files
-    root = Path(what)
-    if not root.is_dir():
-        raise ValueError(f"{what!r} is not 'qft', 'template', or a circuit directory")
-    suite = [(path.stem, lambda path=path: load_circuit_file(str(path))[1])
-             for path in sorted(root.iterdir())
-             if path.suffix in (".qc", ".txt", ".json")]
-    if not suite:
-        raise ValueError(f"no circuit files found under {what!r}")
-    return suite
+    return [(name, build) for name, _, build in map(_generator, specs)]
 
 
 _BENCH_COLS = ("name", "n", "gates", "fidelity", "mse", "wall_time_s", "modeled_time_s", "ngs")

@@ -55,6 +55,7 @@ FLOAT = "float"
 WORKER_ENV = "QEA_SIM_THREADS"
 
 _PHYS_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+_GATE_BUDGET = _PHYS_BYTES // 160   # a transpiled Gate holds 168-184 bytes (tracemalloc, CPython 3.11)
 
 
 def max_workers() -> int:
@@ -110,6 +111,14 @@ def check_fits(n: int, arith: str) -> None:
     if n > (_PHYS_BYTES // (2 * word)).bit_length() - 1:   # n, not 2^n: n may be absurd
         raise ValueError(f"{n} qubits need 2^{n + 1} words of {word} bytes, "
                          f"more than the {_PHYS_BYTES} bytes of physical memory")
+
+
+def check_gates(count: int) -> None:
+    """Raise ValueError unless `count` gates fit in physical memory; the
+    generators call it before building any gate."""
+    if count > _GATE_BUDGET:
+        raise ValueError(f"{count} gates are more than the {_GATE_BUDGET} that fit in "
+                         f"the {_PHYS_BYTES} bytes of physical memory")
 
 
 class StateVector:

@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +18,6 @@ RAW_MAX = (1 << 31) - 1          # +2 - 2^-30
 RAW_MIN = -(1 << 31)             # -2
 _FRAC_MASK = RAW_ONE - 1
 _HALF = 1 << (FRAC_BITS - 1)
-
-_set = object.__setattr__   # the immutable scalars' __init__ stores through it
 
 
 def saturate(raw: int) -> int:
@@ -43,36 +42,18 @@ def round_q60(wide: int) -> int:
     return q
 
 
+@dataclass(frozen=True, slots=True)
 class Fixed:
-    """One Q2.30 scalar; ``raw`` is the signed 32-bit storage word.
+    """One Q2.30 scalar, immutable, compared and hashed by value; ``raw`` is
+    the signed 32-bit storage word."""
 
-    Immutable, compared and hashed by value.  A slotted plain class, which
-    builds faster than a frozen dataclass: the scalar reference builds two
-    per word of acceptance test 9's 2^24-word round-trip sample.
-    """
+    raw: int
 
-    __slots__ = ("raw",)
+    def __post_init__(self) -> None:
+        if not RAW_MIN <= self.raw <= RAW_MAX:
+            raise ValueError(f"raw {self.raw} outside signed 32-bit range")
 
-    def __init__(self, raw: int) -> None:
-        if not RAW_MIN <= raw <= RAW_MAX:
-            raise ValueError(f"raw {raw} outside signed 32-bit range")
-        _set(self, "raw", raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.raw == other.raw if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.raw,))
-
-    def __repr__(self) -> str:
-        return f"Fixed(raw={self.raw!r})"
-
-    def __reduce__(self):   # copy and pickle build through __init__, not __setattr__
+    def __reduce__(self):   # copy and pickle build through __init__, so through the range check
         return Fixed, (self.raw,)
 
     def hex(self) -> str:
@@ -106,31 +87,13 @@ def to_float(a: Fixed) -> float:
     return a.raw / RAW_ONE
 
 
+@dataclass(frozen=True, slots=True)
 class FixedComplex:
-    """Complex amplitude stored as exactly two Q2.30 words (no metadata).
+    """Complex amplitude stored as exactly two Q2.30 words (no metadata);
+    immutable, compared and hashed by value, slotted like Fixed."""
 
-    Immutable, compared and hashed by value, slotted like Fixed.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fixed, im: Fixed) -> None:
-        _set(self, "re", re)
-        _set(self, "im", im)
-
-    __setattr__ = Fixed.__setattr__
-    __delattr__ = Fixed.__setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.re, self.im) == (other.re, other.im)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"FixedComplex(re={self.re!r}, im={self.im!r})"
+    re: Fixed
+    im: Fixed
 
     def __reduce__(self):
         return FixedComplex, (self.re, self.im)

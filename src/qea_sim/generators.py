@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
+from .engine import check_gates
 
 TOPOLOGIES = ("chain", "alternating", "all_to_all", "rotation")
 
@@ -20,8 +21,7 @@ def generate_qft(n: int) -> Circuit:
     CP/SWAP kinds are kept; transpiling gives n + 5*n(n-1)/2 + 3*floor(n/2)
     gates.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_gates(qft_transpiled_gate_count(n))   # refuses n < 1 too
     gates: list[Gate] = []
     for q in range(n):
         gates.append(Gate(GateKind.H, (q,)))
@@ -34,7 +34,25 @@ def generate_qft(n: int) -> Circuit:
 
 
 def qft_transpiled_gate_count(n: int) -> int:
+    """len(transpile(generate_qft(n)).gates); refuses n < 1, for both."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return n + 5 * n * (n - 1) // 2 + 3 * (n // 2)
+
+
+def template_gate_count(topology: str, n: int, layers: int = 1) -> int:
+    """len(generate_template(topology, n, layers).gates), refusing what
+    generate_template refuses; every template gate is executable."""
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}; pick one of {TOPOLOGIES}")
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
+    if topology == "rotation":
+        if n < 1:
+            raise ValueError("n must be >= 1")
+    elif n < 2:
+        raise ValueError(f"{topology} needs at least 2 qubits")
+    return layers * {"rotation": n, "all_to_all": n * (n - 1) // 2}.get(topology, n - 1)   # chain, alternating: n - 1
 
 
 def generate_template(topology: str, n: int, layers: int = 1, seed: int = 0) -> Circuit:
@@ -47,16 +65,7 @@ def generate_template(topology: str, n: int, layers: int = 1, seed: int = 0) -> 
       all_to_all  - CX(a, b) for every a < b
     Deterministic for a given seed.
     """
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}; pick one of {TOPOLOGIES}")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if topology == "rotation":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-    elif n < 2:
-        raise ValueError(f"{topology} needs at least 2 qubits")
-
+    check_gates(template_gate_count(topology, n, layers))   # refuses a bad topology, n or layer count too
     rng = np.random.default_rng(seed)
     gates: list[Gate] = []
     for _ in range(layers):

@@ -9,8 +9,6 @@ modulus of amplitude differences after aligning the tracked global phase.
 from __future__ import annotations
 
 import json
-import statistics
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -88,17 +86,15 @@ class Comparison:
 
 
 def compare_runs(tc, workers: int = 1, repeats: int = 1) -> Comparison:
-    """Run tc `repeats` times in fixed point, timing each run on a monotonic
-    clock, and once in float; the metrics compare the last fixed state with
-    the float one."""
+    """Run tc `repeats` times in fixed point and once in float; the wall time
+    is the median of the fixed runs' own, and the metrics compare the last
+    fixed state with the float one."""
     times = []
     for _ in range(max(1, repeats)):
-        state = StateVector.zero(tc.n, FIXED)
-        t0 = time.perf_counter()
-        fixed, stats = run_circuit(tc, state, workers)
-        times.append(time.perf_counter() - t0)
+        fixed, stats = run_circuit(tc, StateVector.zero(tc.n, FIXED), workers)
+        times.append(stats.wall_time_s)
     ref, _ = run_circuit(tc, StateVector.zero(tc.n, FLOAT), workers)
-    return Comparison(stats, statistics.median(times), fidelity(fixed, ref), mse(fixed, ref), norm_error(fixed))
+    return Comparison(stats, float(np.median(times)), fidelity(fixed, ref), mse(fixed, ref), norm_error(fixed))
 
 
 def _class_counts(gates) -> dict[str, int]:

@@ -287,6 +287,28 @@ class TestValidation:
             with pytest.raises(ValueError):
                 Gate(GateKind.RZ, (0,), bad)
 
+    @pytest.mark.parametrize("qubits,message", [
+        ((0.5,), "'float' object cannot be interpreted as an integer"),
+        ((1.0,), "'float' object cannot be interpreted as an integer"),
+        ((True,), "expected a number, got true"),       # a bool is an int to operator.index
+        ((False,), "expected a number, got false"),
+        ((0, True), "expected a number, got true"),
+    ], ids=["float", "whole-float", "true", "false", "int-and-true"])
+    def test_qubit_type(self, qubits, message):
+        # the float once ran as far as _track, and True as qubit 1
+        with pytest.raises(TypeError, match=message):
+            Gate(GateKind.H if len(qubits) == 1 else GateKind.CX, qubits)
+
+    def test_bool_angle(self):
+        with pytest.raises(TypeError, match="expected a number, got true"):
+            Gate(GateKind.RZ, (0,), True)
+
+    def test_integer_qubits_stored_as_int(self):
+        g = Gate(GateKind.CX, [np.int64(1), np.int32(0)])
+        assert g.qubits == (1, 0) and all(type(q) is int for q in g.qubits)
+        assert g == Gate(GateKind.CX, (1, 0)) and hash(g) == hash(Gate(GateKind.CX, (1, 0)))
+        assert Gate(GateKind.H, (np.int64(1),)).qubits == (1,)
+
     def test_circuit_bounds(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate(GateKind.H, (2,)),))

@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qea_sim import cli
+from qea_sim import cli, engine
 from qea_sim.cli import main, parse_generate_spec
 from qea_sim.engine import parse_dump
 
@@ -226,6 +227,33 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--generate", "template:chain:3:20000"),
+        ("compare", "--generate", "template:rotation:4:10000"),
+        ("estimate", "--qubits", "4", "--generate", "template:all_to_all:5:4000"),
+        ("run", "--generate", "qft:8"),                  # 160 gates once transpiled
+    ])
+    def test_gate_budget_refused_before_generating(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(engine, "_GATE_BUDGET", 100)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err.startswith("error: ") and "gates are more than the 100 that fit" in err
+        assert "Traceback" not in err
+        assert peak < 1 << 20   # the 40,000 gates alone would take about 7 MB
+
+    def test_gate_budget_fails_one_bench_entry(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "_GATE_BUDGET", 100)
+        code, out, err = run_cli(capsys, "bench", "template", "--topology", "chain",
+                                 "--qubits", "3..4", "--layers", "40", "--repeats", "1")
+        assert code == 1
+        assert err.startswith("template:chain:4:40:0: FAILED: 120 gates are more than the 100")
+        assert "template:chain:3:40:0" in out   # 80 gates: within the budget, so it ran
 
     @pytest.mark.parametrize("name,text", [
         ("huge.qc", "qubits 3000\nh 0\n"),                       # refused by its n, before any cycle count

@@ -4,7 +4,7 @@ import pytest
 
 from qea_sim.circuit import GateKind, transpile
 from qea_sim.generators import (TOPOLOGIES, generate_qft, generate_template,
-                                qft_transpiled_gate_count)
+                                qft_transpiled_gate_count, template_gate_count)
 
 
 class TestQft:
@@ -58,6 +58,13 @@ class TestTemplates:
 
     def test_layers_repeat(self):
         assert len(generate_template("chain", 4, layers=3).gates) == 9
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_count_formula(self, topology):
+        for n in range(1 if topology == "rotation" else 2, 9):
+            for layers in (1, 2, 3):
+                want = len(generate_template(topology, n, layers, seed=n).gates)
+                assert template_gate_count(topology, n, layers) == want
 
     def test_same_seed_identical(self):
         a = generate_template("rotation", 5, layers=2, seed=42)
