@@ -72,11 +72,14 @@ def _not_bool(v):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
     angle: float | None = None
+
+    def __reduce__(self):   # copy and pickle build through __init__, so through the checks
+        return Gate, (self.kind, self.qubits, self.angle)
 
     def __post_init__(self) -> None:
         if type(self.qubits) is not tuple or not _INT.issuperset(map(type, self.qubits)):

@@ -55,7 +55,7 @@ FLOAT = "float"
 WORKER_ENV = "QEA_SIM_THREADS"
 
 _PHYS_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-_GATE_BUDGET = _PHYS_BYTES // 160   # a transpiled Gate holds 168-184 bytes (tracemalloc, CPython 3.11)
+_GATE_BUDGET = _PHYS_BYTES // 120   # a transpiled Gate holds 128-134 bytes (tracemalloc, CPython 3.11)
 
 
 def max_workers() -> int:
@@ -803,11 +803,12 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
 def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -> StateVector:
     """Double-precision run used as the accuracy reference.
 
-    Same contract as run_circuit; the input state is copied (and converted
-    to the float variant if needed), never mutated.
+    Same contract as run_circuit; the input state's values are copied into
+    float planes (exact for both variants), never mutated.
     """
-    out, _ = run_circuit(tc, StateVector.from_complex(state.to_complex(), FLOAT), workers)
-    return out
+    out = StateVector(state.n, FLOAT)
+    out.planes[:] = state._values()
+    return run_circuit(tc, out, workers)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ class Fixed:
 
 
 ZERO = Fixed(0)
-ONE = Fixed(RAW_ONE)
 
 
 def to_fixed(x: float) -> Fixed:

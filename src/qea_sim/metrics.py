@@ -9,6 +9,8 @@ modulus of amplitude differences after aligning the tracked global phase.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,12 +18,6 @@ import numpy as np
 from . import pe_model
 from .circuit import COMPOSITE, CX, DENSE, SPARSE, Circuit, classify, transpile
 from .engine import FIXED, FLOAT, RunStats, StateVector, run_circuit
-
-
-def _as_vector(state) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return state.to_complex()
-    return np.asarray(state, dtype=np.complex128)
 
 
 def _planes(state) -> np.ndarray:
@@ -54,11 +50,13 @@ def fidelity(a, b, phase: float = 0.0) -> float:
 
 def mse(a, b, phase: float = 0.0) -> float:
     """Mean squared amplitude difference after phase alignment."""
-    va, vb = _as_vector(a), _as_vector(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    diff = va - np.exp(1j * phase) * vb
-    return float(np.mean(diff.real ** 2 + diff.imag ** 2))
+    pa, pb = _planes(a), _planes(b)
+    if pa.shape != pb.shape:
+        raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]} amplitudes")
+    c, s = math.cos(phase), math.sin(phase)
+    # a - e^{i phase} b, each product rounded alone: numpy's complex multiply may fuse them (FMA)
+    re, im = pa[0] - (c * pb[0] - s * pb[1]), pa[1] - (c * pb[1] + s * pb[0])
+    return float(np.mean(re * re + im * im))
 
 
 def norm_error(a) -> float:
@@ -95,16 +93,6 @@ def compare_runs(tc, workers: int = 1, repeats: int = 1) -> Comparison:
         times.append(stats.wall_time_s)
     ref, _ = run_circuit(tc, StateVector.zero(tc.n, FLOAT), workers)
     return Comparison(stats, float(np.median(times)), fidelity(fixed, ref), mse(fixed, ref), norm_error(fixed))
-
-
-def _class_counts(gates) -> dict[str, int]:
-    counts = {SPARSE: 0, DENSE: 0, CX: 0, "composite": 0}
-    for g in gates:
-        if g.kind in COMPOSITE:
-            counts["composite"] += 1
-        else:
-            counts[classify(g)] += 1
-    return counts
 
 
 @dataclass
@@ -150,7 +138,7 @@ def bench_circuit(name: str, circuit: Circuit,
     separately, never mixed with measurements.
     """
     tc = transpile(circuit)
-    pre = _class_counts(circuit.gates)   # composites are counted before transpiling only
+    pre = Counter("composite" if g.kind in COMPOSITE else classify(g) for g in circuit.gates)   # composites too
     cmp = compare_runs(tc, workers, repeats)
     post = cmp.stats   # post-transpile counts from the run's plan
     cycles = pe_model.estimate_cycles(tc, cfg)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .circuit import CX, DENSE, SPARSE, TranspiledCircuit
@@ -139,12 +140,9 @@ def estimate_cycles(tc: TranspiledCircuit, cfg: PEConfig = PEConfig()) -> CycleR
     n = tc.n
     check_figures(n)
     partition_state(n, cfg)
-    gates = {SPARSE: 0, DENSE: 0, CX: 0}
-    crossing = {SPARSE: 0, DENSE: 0, CX: 0}
     pe_bits = cfg.num_pes.bit_length() - 1
-    for cls, g in zip(tc.classes, tc.gates):
-        gates[cls] += 1
-        crossing[cls] += g.qubits[-1] < pe_bits
+    gates = Counter(tc.classes)
+    crossing = Counter(cls for cls, g in zip(tc.classes, tc.gates) if g.qubits[-1] < pe_bits)
     # a one-qubit gate has 2^(n-1) pairs, a CX 2^(n-2); n = 1 has no CX, and
     # cx_gate_cycles(1) would shift by -1, so neither is evaluated there
     accesses = (crossing[SPARSE] + crossing[DENSE]) * (1 << (n - 1)) + crossing[CX] * ((1 << n) >> 2)

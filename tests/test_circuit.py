@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestParser:
     def test_duplicate_header(self):
         with pytest.raises(CircuitParseError, match="duplicate"):
             parse_circuit("qubits 1\nqubits 2\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("qubits 2\nh x\n", "line 2, col 3: expected qubit index, got 'x'"),
+        ("qubits 1\nrz inf 0\n", "line 2, col 4: invalid angle 'inf'"),   # float() reads it, the parser refuses it
+        ("qubits 2 3\n", "line 1, col 1: 'qubits' takes exactly one count"),
+        ("qubits x\n", "line 1, col 8: invalid qubit count 'x'"),
+        ("qubits 0\n", "line 1, col 8: qubit count must be >= 1, got 0"),
+        ("# no header\n\n   \n", "missing 'qubits <n>' header"),
+    ], ids=["bad-qubit", "inf-angle", "two-counts", "bad-count", "zero-count", "no-header"])
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(CircuitParseError, match=f"^{re.escape(message)}$"):
+            parse_circuit(text)
 
     def test_error_carries_line_number(self):
         try:
@@ -217,6 +230,12 @@ class TestSerialization:
         assert isinstance(back, TranspiledCircuit)
         assert back == tc
 
+    def test_non_finite_global_phase_refused(self):
+        # JSON reads NaN; a transpiled circuit refuses it as it refuses inf
+        doc = json.loads(json.dumps({"n": 2, "gates": [], "global_phase": math.nan}))
+        with pytest.raises(CircuitParseError, match="^malformed circuit: global phase must be finite, got nan$"):
+            circuit_from_dict(doc)
+
     def test_gate_round_trips_through_pickle_and_copy(self):
         # GateKind hashes by identity: a copied or unpickled member is the
         # same object, so it finds the same set and dict entries
@@ -308,6 +327,18 @@ class TestValidation:
         assert g.qubits == (1, 0) and all(type(q) is int for q in g.qubits)
         assert g == Gate(GateKind.CX, (1, 0)) and hash(g) == hash(Gate(GateKind.CX, (1, 0)))
         assert Gate(GateKind.H, (np.int64(1),)).qubits == (1,)
+
+    def test_gate_is_slotted_and_rebuilt_through_its_checks(self):
+        # no per-gate __dict__; copy and pickle build through __init__, so a
+        # gate whose fields were forced past the checks is refused on the way
+        g = Gate(GateKind.RZ, (np.int64(2),), 0.5)
+        assert not hasattr(g, "__dict__")
+        for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert type(back) is Gate and back == g and type(back.qubits[0]) is int
+        object.__setattr__(g, "angle", math.inf)
+        for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            with pytest.raises(ValueError, match=r"^rz: angle must be finite, got inf$"):
+                rebuild(g)
 
     def test_circuit_bounds(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qea_sim import cli, engine
+from qea_sim import cli, engine, pe_model
+from qea_sim.circuit import transpile
 from qea_sim.cli import main, parse_generate_spec
 from qea_sim.engine import parse_dump
+from qea_sim.generators import generate_qft
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +175,17 @@ class TestCompare:
         fidelity = float(out.splitlines()[1].split()[3])
         assert fidelity == pytest.approx(1.0, abs=1e-9)
 
+    def test_out_record(self, tmp_path, capsys):
+        path = tmp_path / "compare.json"
+        code, out, err = run_cli(capsys, "compare", "--generate", "qft:4", "--out", str(path))
+        assert code == 0
+        rec = json.loads(path.read_text())
+        assert path.read_text().count("\n") == 1
+        assert sorted(rec) == ["fidelity", "gates", "mse", "n", "name", "norm_error"]
+        assert (rec["name"], rec["n"], rec["gates"]) == ("qft:4", 4, 40)
+        row = out.splitlines()[1].split()
+        assert row == ["qft:4", "4", "40", f"{rec['fidelity']:.12f}", f"{rec['mse']:.6e}", f"{rec['norm_error']:.6e}"]
+
 
 class TestEstimate:
     def test_ratio_windows(self, capsys):
@@ -193,6 +206,21 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--qubits", "4", "--generate", "qft:4")
         assert code == 0
         assert "total_cycles" in out and "modeled_time_s" in out
+
+    def test_out_records(self, tmp_path, capsys):
+        path = tmp_path / "estimate.jsonl"
+        code, out, err = run_cli(capsys, "estimate", "--qubits", "3..4", "--generate", "qft:4", "--out", str(path))
+        assert code == 0
+        *rows, cycles = map(json.loads, path.read_text().splitlines())
+        assert [(r["n"], r["gates"]) for r in rows] == [(3, 40), (4, 40)]
+        for r, line in zip(rows, out.splitlines()[1:3]):
+            assert r["qea_bytes"] == pe_model.estimate_memory_qea(r["n"], 40)
+            assert r["matmul_bytes"] == pe_model.estimate_memory_matmul(r["n"])
+            assert line.split()[:4] == [str(r["n"]), "40", str(r["qea_bytes"]), str(r["matmul_bytes"])]
+            assert r["ratio"] == r["matmul_bytes"] / r["qea_bytes"]
+        rep = pe_model.estimate_cycles(transpile(generate_qft(4)))
+        assert cycles == {"name": "qft:4", "n": 4, "total_cycles": rep.total_cycles,
+                          "cross_pe_accesses": rep.cross_pe_accesses, "modeled_time_s": rep.modeled_time_s}
 
 
 class TestExitCodes:
@@ -299,6 +327,7 @@ class TestExitCodes:
         {"n": 2, "gates": [{"kind": "h", "qubits": [False]}]},
         {"n": 2, "gates": [], "global_phase": True},
         {"n": 2, "gates": [{"kind": "rz", "qubits": [0], "angle": True}]},
+        {"n": 2, "gates": [], "global_phase": math.nan},               # json writes and reads NaN
     ])
     def test_malformed_json_circuit(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.json"
@@ -306,6 +335,35 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "run", str(p))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("run", "--generate", "qft:3:4"), "qft spec is qft:<n>, got 'qft:3:4'"),
+        (("run", "--generate", "template:chain"),
+         "template spec is template:<topology>:<n>[:<layers>[:<seed>]], got 'template:chain'"),
+        (("estimate", "--qubits", "5..3"), "empty qubit range '5..3'"),
+        (("bench", "qft", "--qubits", "3", "--pes", "3", "--repeats", "1"), "num_pes must be a power of two, got 3"),
+        (("estimate", "--qubits", "4", "--pes", "3"), "num_pes must be a power of two, got 3"),
+        (("bench", "template", "--qubits", "4"), "bench template requires --topology"),
+        (("bench", "{tmp}/c.qc"), "'{tmp}/c.qc' is not 'qft', 'template', or a circuit directory"),
+        (("bench", "{tmp}/empty"), "no circuit files found under '{tmp}/empty'"),
+    ], ids=["qft-spec", "template-spec", "empty-range", "bench-pes", "estimate-pes", "no-topology",
+            "bench-file", "bench-empty-dir"])
+    def test_refusal_messages(self, tmp_path, capsys, argv, message):
+        (tmp_path / "c.qc").write_text("qubits 1\nh 0\n")
+        (tmp_path / "empty").mkdir()
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert err == f"error: {message.format(tmp=tmp_path)}\n" and "Traceback" not in err
+        assert out == ""
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, out, err = run_cli(capsys, "run", "--generate", "qft:2", "--out", str(tmp_path / "state.dump"))
+        assert code == 1
+        assert err == "error: replace refused\n" and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deeply_nested_json_circuit(self, tmp_path, capsys):
         # json.dumps cannot build it; json.loads would raise RecursionError
@@ -327,7 +385,7 @@ RUN_DUMP_SHA256 = {
 
 
 class TestPinnedDumps:
-    @pytest.mark.parametrize("threads", ["1", "2", "4", "8"])
+    @pytest.mark.parametrize("threads", ["1", "2", "4", "8", "abc"])   # an unreadable count runs one worker
     @pytest.mark.parametrize("spec,arith", sorted(RUN_DUMP_SHA256))
     def test_run_dump_sha256(self, capsys, monkeypatch, spec, arith, threads):
         monkeypatch.setenv("QEA_SIM_THREADS", threads)

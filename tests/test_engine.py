@@ -57,6 +57,18 @@ class TestInitState:
             StateVector(40, FIXED)      # 8 TiB of planes; refused before allocating
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: engine.check_fits(3, "bogus"), "unknown arithmetic variant 'bogus'"),
+        (lambda: StateVector.from_complex(np.ones(3)), "length 3 is not a power of two"),
+        (lambda: GateApplication((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), 0, "cx"), "unknown mode 'cx'"),
+        (lambda: make_application(Gate(GateKind.CX, (0, 1)), FIXED), "CX is handled by the swapper, not as a matrix"),
+    ], ids=["arith", "length", "mode", "cx-application"])
+    def test_messages(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestApply1q:
     def test_hadamard_on_zero(self):
         sv = StateVector.zero(1)
@@ -982,6 +994,8 @@ class TestDumpFormat:
         # the header's n is a plain ASCII numeral, as the body's fields are
         ({1: "n=\u0662 arith=fixed"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=\u0662 arith=fixed'"),
         ({1: "n=0_2 arith=fixed"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=0_2 arith=fixed'"),
+        # no line but a blank one: no header at all
+        (dict.fromkeys(range(1, 6)), "dump header must be 'n=<n> arith=<fixed|float>', got ''"),
     ])
     def test_rejection_table(self, edits, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -80,6 +80,14 @@ class TestTemplates:
         with pytest.raises(ValueError, match="unknown topology"):
             generate_template("ring", 4)
 
+    @pytest.mark.parametrize("args,message", [
+        (("chain", 4, 0), "layers must be >= 1"),
+        (("rotation", 0), "n must be >= 1"),
+    ], ids=["no-layers", "no-qubits"])
+    def test_refusal_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_template(*args)
+
     def test_entangling_needs_two_qubits(self):
         with pytest.raises(ValueError):
             generate_template("chain", 1)

@@ -54,6 +54,8 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(basis_state(2, 0), basis_state(3, 0))
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 8 amplitudes$"):
+            mse(basis_state(2, 0), StateVector.zero(3, FIXED))
 
     def test_zero_norm(self):
         with pytest.raises(ValueError):

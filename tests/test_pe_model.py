@@ -36,6 +36,11 @@ class TestPartition:
     def test_owner_13(self):
         assert partition_state(4, PEConfig()).owner(13) == 3
 
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_owner_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"^index {index} out of range for n=4$"):
+            partition_state(4, PEConfig()).owner(index)
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             partition_state(1, PEConfig())
@@ -229,6 +234,10 @@ class TestModeledTime:
         assert overhead > 0
         calibrated = estimate_cycles(tc, PEConfig(per_gate_overhead_cycles=overhead))
         assert calibrated.modeled_time_s == pytest.approx(0.329, rel=0.02)
+
+    def test_calibration_refuses_an_empty_circuit(self):
+        with pytest.raises(ValueError, match="^cannot calibrate on an empty circuit$"):
+            calibrate_overhead(tc_of(4, []), PEConfig(), 0.329)
 
 
 class TestMemory:
