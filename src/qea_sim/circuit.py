@@ -139,23 +139,29 @@ def classify(g: Gate) -> str:
         raise ValueError(f"composite gate {g.kind.value} has no execution class") from None
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """2x2 double-precision unitary of a single-qubit gate."""
+def gate_entries(g: Gate) -> tuple:
+    """u00, u01, u10, u11 of a single-qubit gate's 2x2 unitary, as Python
+    numbers, so many gates' entries convert to complex128 in one call."""
     if g.kind in TWO_QUBIT:
         raise ValueError(f"{g.kind.value} has no 2x2 matrix")
     if g.kind is GateKind.H:
         s = 1.0 / math.sqrt(2.0)
-        return np.array([[s, s], [s, -s]], dtype=np.complex128)
+        return s, s, s, -s
     if g.kind is GateKind.S:
-        return np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
+        return 1.0, 0.0, 0.0, 1.0j
     half = g.angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if g.kind is GateKind.RX:
-        return np.array([[c, -1.0j * s], [-1.0j * s, c]], dtype=np.complex128)
+        return c, -1.0j * s, -1.0j * s, c
     if g.kind is GateKind.RY:
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+        return c, -s, s, c
     # RZ
-    return np.array([[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128)
+    return complex(c, -s), 0.0, 0.0, complex(c, s)
+
+
+def gate_matrix(g: Gate) -> np.ndarray:
+    """2x2 double-precision unitary of a single-qubit gate."""
+    return np.array(gate_entries(g), dtype=np.complex128).reshape(2, 2)
 
 
 def transpile(c: Circuit | TranspiledCircuit) -> TranspiledCircuit:

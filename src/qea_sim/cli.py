@@ -4,7 +4,9 @@ Circuit sources are either a file (text format, or .json structured form)
 or a --generate spec in compact name:params syntax:
     qft:<n>
     template:<topology>:<n>[:<layers>[:<seed>]]
-Worker count is capped by the QEA_SIM_THREADS environment variable.
+Worker count is capped by the QEA_SIM_THREADS environment variable: unset or
+empty means 1, and run, compare and bench refuse any value but a positive
+integer with exit code 2.
 Output files are written atomically (temp file, then rename).
 """
 from __future__ import annotations
@@ -122,7 +124,7 @@ def cmd_run(args) -> int:
     name, circ = _resolve_source(args, lambda n: check_fits(n, args.arith))
     tc = transpile(circ)
     state = StateVector.zero(circ.n, args.arith)
-    state, stats = run_circuit(tc, state, max_workers())
+    state, stats = run_circuit(tc, state, args.workers)
     dump = format_dump(state)
     if args.out:
         _atomic_write(args.out, dump)
@@ -174,7 +176,7 @@ def cmd_bench(args) -> int:
     failed = 0
     for name, load in suite:
         try:
-            reports.append(metrics.bench_circuit(name, load(), cfg, args.repeats, max_workers()))
+            reports.append(metrics.bench_circuit(name, load(), cfg, args.repeats, args.workers))
         except Exception as exc:  # keep the suite going, flag the entry
             failed += 1
             print(f"{name}: FAILED: {exc}", file=sys.stderr)
@@ -190,7 +192,7 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     name, circ = _resolve_source(args, _check_float_state)
     tc = transpile(circ)
-    cmp = metrics.compare_runs(tc, max_workers())
+    cmp = metrics.compare_runs(tc, args.workers)
     fid, err, drift = cmp.fidelity, cmp.mse, cmp.norm_error
     print("name  n  gates  fidelity  mse  norm_error")
     print(f"{name}  {circ.n}  {len(tc.gates)}  {fid:.12f}  {err:.6e}  {drift:.6e}")
@@ -283,6 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is not cmd_estimate:   # a bad worker count is refused like a bad option, before any work
+        try:
+            args.workers = max_workers()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except CircuitParseError as exc:

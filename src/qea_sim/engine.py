@@ -17,19 +17,20 @@ quarter swap when the map is one CX and by one gather otherwise (_track).
 Pairs within one gate are disjoint, so the pair space can be sharded
 across workers with bit-identical results.
 
-run_circuit prepares each plan once (_prepare), on the circuit's classes:
-every gate quantized, views and kernel buffers set up, before the first update.
-apply_1q and apply_cx are one-gate plans: all three run through _execute.
+A run is one plan prepared once (_prepare), on the circuit's classes:
+each distinct gate quantized once, views and buffers set up, before the
+first update.  apply_1q and apply_cx are one-gate plans, through _execute.
 
 In fixed point zero is absorbing: a product with a zero word rounds to
 exactly 0, and saturating 0 gives 0.  So a fixed run tracks classical
 qubits, those on which every nonzero amplitude agrees (_track), and
 sweeps only a compact state of the others' amplitudes, with the same bits
-as a full sweep, by proof rather than by tolerance.  Float runs sweep
-every amplitude: IEEE products of zeros keep a sign, which the dump
-prints.  RunStats.swept_amps counts what a run swept and cx_passes the
-passes that moved words for CX; the device model (pe_model) still sweeps
-every amplitude of every gate.
+as a full sweep, by proof rather than by tolerance; an activated qubit
+becomes the compact state's top stored bit, so activation moves no data.
+Float runs sweep every amplitude: IEEE products of zeros keep a sign,
+which the dump prints.  RunStats.swept_amps counts what a run swept and
+cx_passes the passes that moved words for CX; the device model
+(pe_model) still sweeps every amplitude of every gate.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ import binascii
 import itertools
 import math
 import os
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuit import CX, DENSE, SPARSE, Gate, TranspiledCircuit, classify, gate_matrix
+from .circuit import CX, DENSE, SPARSE, Gate, TranspiledCircuit, classify, gate_entries, gate_matrix
 
 FIXED = "fixed"
 FLOAT = "float"
@@ -59,11 +61,16 @@ _GATE_BUDGET = _PHYS_BYTES // 120   # a transpiled Gate holds 128-134 bytes (tra
 
 
 def max_workers() -> int:
-    """Worker-count cap from the environment (>= 1)."""
-    try:
-        return max(1, int(os.environ.get(WORKER_ENV, "1")))
-    except ValueError:
+    """Worker-count cap from the environment: 1 when it is unset or empty,
+    else its value, which must be a positive integer in ASCII digits
+    (ValueError otherwise)."""
+    text = os.environ.get(WORKER_ENV, "")
+    if not text:
         return 1
+    count = int(text) if text.isascii() and text.isdigit() else 0
+    if count < 1:
+        raise ValueError(f"{WORKER_ENV} must be a positive integer, got {text!r}")
+    return count
 
 
 def _fixed_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -349,16 +356,16 @@ def _tile_kernel(planes: np.ndarray, arith: _Arith, target: int, sparse: bool, t
         if arith.dtype is not arith.wide:
             src = r[2 * size:2 * size + 4 * tile].reshape((2, 2) + inner)
             xs, xr = (src, src[:, ::-1]) if sparse else (src[:, None], src[:, None, ::-1])
-        bufs.append((r[:size].reshape(shape), r[size:2 * size].reshape(shape), src, xs, xr))
+        bufs.append((*r[:2 * size].reshape((2,) + shape), src, xs, xr))
     return view, view.shape[1], sparse, arith.narrow_product, arith.narrow_sum, bufs
 
 
-def _swap_views(planes: np.ndarray, control: int, target: int, buf: np.ndarray) -> tuple:
+def _swap_views(planes: np.ndarray, bc: int, bt: int, buf: np.ndarray) -> tuple:
     """_swap's arguments: the two quarters of the planes CX swaps, where the
-    control's stored bit is 1, and a temporary, a prefix of `buf`.  A
-    permutation's bits do not depend on how it is cut, so it is one part."""
+    control's stored bit bc is 1, across the target's bt, and a temporary,
+    a prefix of `buf`.  A permutation's bits do not depend on how it is
+    cut, so it is one part."""
     n = planes.shape[1].bit_length() - 1
-    bc, bt = n - 1 - control, n - 1 - target
     hi, lo = max(bc, bt), min(bc, bt)
     # axis layout: (plane, pre, bit hi, mid, bit lo, post)
     v = planes.reshape(2, 1 << (n - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
@@ -466,58 +473,68 @@ def _clamp_free(planes: np.ndarray, words: np.ndarray) -> bool:
 
 # the plan step class of a materialized index map that is not one CX (_track)
 _GATHER = "gather"
+# a one-qubit step's entries by its pick's form (_track), as offsets into its gate's u00 u01
+# u10 u11, -1 for zero: the gate, or it with rows and columns swapped (b_q = 1), or a scale
+_PICKS = np.array([[0, 1, 2, 3], [3, 2, 1, 0]] * 2 + [[e, -1, -1, e] for e in range(4)])
 
 
-def _prepare(planes: np.ndarray, arith: _Arith, classes: list, qubits: list, words: np.ndarray,
-             workers: int) -> list:
-    """A plan on these (2, 2^m) planes: one _run_parts argument tuple per
-    gate; `arith` gives the planes' words and the one-qubit gates' narrow
+def _prepare(planes: np.ndarray, arith: _Arith, classes: list, qubits: list, axes: list, picks: list,
+             words: np.ndarray, workers: int) -> list:
+    """A plan on these (2, 2^M) planes: one _run_parts argument tuple per
+    step; `arith` gives the planes' words and the one-qubit steps' narrow
     steps (their variant's, or _CLAMP_FREE).
 
     The host's share of the device loading each gate's context before the
-    sweep (pe_model.GATE_BYTES), once per plan against the planes it
-    updates.  `classes` and `qubits` describe the steps: a gather's qubits
-    are its columns and offset (_gather_index).  `words` holds the
-    one-qubit gates' entries in order, as _words lays them out.  Operands
-    come from the words by one indexing per mode, tile views once per
-    target and mode, swap views once per (control, target).  Tiles of
+    sweep (pe_model.GATE_BYTES), once per run.  The steps are as _track
+    gives them; one on m axes runs on the first 2^m words of each plane,
+    a shorter range of tiles, or one smaller tile.  Operands come from the
+    picked entries of `words` (as _words lays them out) by one indexing
+    per mode, tile views once per target, mode and tile size.  Tiles of
     _TILE pairs are the unit of work and the only work sharded: a quarter
     swap or a gather is one part.  Every tile shape's product, scratch and
-    widened tile (in a row per tile part), the swap temporary and a
-    gather's copy of the planes are reshaped prefixes of one flat buffer:
-    one cache-warm block.
+    widened tile (in a row per tile part), the swap temporary and a gather's
+    copy of the planes are reshaped prefixes of one flat buffer: one
+    cache-warm block.
     """
-    n = planes.shape[1].bit_length() - 1
-    pairs = 1 << (n - 1)
-    tile = min(_TILE, pairs)
-    tile_parts = _split(pairs // tile, workers)
-    ones = {(qs[0], cls == SPARSE) for cls, qs in zip(classes, qubits) if cls in (SPARSE, DENSE)}
+    if not classes:
+        return []
+    top = planes.shape[1].bit_length() - 2   # stored bit k is axis top - k of the planes
+    tile = min(_TILE, 1 << top)
+    spans = {m: min(tile, 1 << (m - 1)) for m in set(axes)}   # pairs per tile on m axes
+    tile_parts = {m: _split((1 << (m - 1)) // span, workers) for m, span in spans.items()}
+    modes = [mode for mode in (SPARSE, DENSE) if mode in classes]
 
     # a row per tile part, as long as the longest kernel's product and
     # scratch of 1 or 2 terms x 2 halves x 2 planes and widened tile; a
     # quarter of both planes per swap, or both planes per gather
     widened = 4 if arith.dtype is not arith.wide else 0
     per_wide = np.dtype(arith.wide).itemsize // np.dtype(arith.dtype).itemsize
-    row = max((tile * ((8 if sparse else 16) + widened) for _, sparse in ones), default=0)
-    perm_words = 2 << n if _GATHER in classes else pairs if CX in classes else 0
-    buf = np.empty(max(len(tile_parts) * row, -(-perm_words // per_wide)), arith.wide)
+    row = tile * ((16 if DENSE in modes else 8) + widened) if modes else 0
+    perm_words = 4 << top if _GATHER in classes else 1 << top if CX in classes else 0
+    parts = max(map(len, tile_parts.values()))
+    buf = np.empty(max(parts * row, -(-perm_words // per_wide)), arith.wide)
 
-    rows = buf[:len(tile_parts) * row].reshape(len(tile_parts), row)
-    kernels = {key: _tile_kernel(planes, arith, *key, tile, rows) for key in ones}
+    rows = buf[:parts * row].reshape(parts, row)
     flat = buf.view(arith.dtype)
-    swaps = {qs: _swap_views(planes, *qs, flat) for cls, qs in zip(classes, qubits) if cls == CX}
-    operands = {sparse: _operands(words, sparse, arith.wide) for sparse in {sparse for _, sparse in ones}}
-    steps, j = [], 0
-    for cls, qs in zip(classes, qubits):
+    if modes:   # the steps' entries, picked from the words' and a zero one (_PICKS)
+        picks = np.array(picks)
+        forms = _PICKS[picks & 7]
+        index = np.where(forms < 0, -1, (picks >> 3 << 2)[:, None] + forms)
+        words = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype)))[index]
+    operands = {mode == SPARSE: _operands(words, mode == SPARSE, arith.wide) for mode in modes}
+    kernels, steps, j = {}, [], 0
+    for cls, qs, m in zip(classes, qubits, axes):
         if cls == CX:
-            steps.append((_swap, [range(1)], *swaps[qs]))
-            continue
-        if cls == _GATHER:
-            steps.append((_gather, [range(1)], planes, _gather_index(*qs), flat[:2 << n].reshape(2, -1)))
-            continue
-        ur, sgn = operands[cls == SPARSE]
-        steps.append((_one_qubit, tile_parts, kernels[qs[0], cls == SPARSE], ur[j], sgn[j]))
-        j += 1
+            steps.append((_swap, [range(1)], *_swap_views(planes[:, :1 << m], *qs, flat)))
+        elif cls == _GATHER:
+            steps.append((_gather, [range(1)], planes[:, :1 << m], _gather_index(*qs), flat[:2 << m].reshape(2, -1)))
+        else:
+            key = top - qs[0], cls == SPARSE, spans[m]   # the tile views of the first 2^m words
+            if key not in kernels:
+                kernels[key] = _tile_kernel(planes, arith, *key, rows)
+            ur, sgn = operands[key[1]]
+            steps.append((_one_qubit, tile_parts[m], kernels[key], ur[j], sgn[j]))
+            j += 1
     return steps
 
 
@@ -535,7 +552,7 @@ def _classical(planes: np.ndarray) -> dict[int, int]:
     n = planes.shape[1].bit_length() - 1
     low = n // 2
     grid = np.logical_or(planes[0], planes[1]).reshape(-1, 1 << low)
-    rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
+    rows, cols = grid.any(axis=1).nonzero()[0], grid.any(axis=0).nonzero()[0]
     if not rows.size:
         return dict.fromkeys(range(n), 0)
     ors = int(np.bitwise_or.reduce(rows)) << low | int(np.bitwise_or.reduce(cols))
@@ -543,101 +560,91 @@ def _classical(planes: np.ndarray) -> dict[int, int]:
     return {q: ors >> (n - 1 - q) & 1 for q in range(n) if not (ors ^ ands) >> (n - 1 - q) & 1}
 
 
-def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict) -> tuple[list, dict, tuple | None]:
-    """The run as stretches on compact states that hold the active qubits'
-    axes only, for a state whose classical qubits are `values`, with CX
-    deferred.
+def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict) -> tuple:
+    """The run as one list of steps on a compact state that holds the
+    active qubits' axes only, for a state whose classical qubits are
+    `values`, with CX deferred.
 
-    The walk keeps an affine map from the stored index s of the compact
-    state to the logical qubits.  Per qubit q it holds a row mask r_q over
-    the stored bits (compact axis i is bit m-1-i of s, for m axes) and a
-    bit b_q: q's logical bit is parity(r_q & s) XOR b_q.  A classical qubit
-    has r_q = 0 and value b_q.  It also holds d_q, the stored bits whose
-    flip flips q alone (column q of the map's inverse).  An active qubit's
-    home axis is its rank among the active qubits; the map is the identity
-    when every r_q = d_q is its home bit.
+    Each active qubit has a home bit of the stored index s, in activation
+    order: the qubits active from the start hold the low bits in qubit
+    order, and each one activated later takes the next bit above them.
+    The walk keeps an affine map from s to the logical qubits.  Per qubit
+    q it holds a row mask r_q over the stored bits and a bit b_q: q's
+    logical bit is parity(r_q & s) XOR b_q.  A classical qubit has r_q = 0
+    and value b_q.  It also holds d_q, the stored bits whose flip flips q
+    alone (column q of the map's inverse).  The map is the identity when
+    every r_q = d_q is its home bit.
 
     A CX(c, t) is composed, at no pass: b_t ^= b_c, and when c is active
     r_t ^= r_c and d_c ^= d_t, after activating a classical t.  A
-    one-qubit gate U on an active q runs on stored axis j when r_q is the
-    bit of j, and, if dense, when d_q is too (no other row holds j); its
-    words are reversed when b_q = 1.  Otherwise the map is materialized
-    first: one quarter swap (_swap_views) when it is one CX since the last
+    one-qubit gate U on an active q runs on stored bit j when r_q is bit
+    j, and, if dense, when d_q is too (no other row holds j); its words
+    are reversed when b_q = 1.  Otherwise the map is materialized first:
+    one quarter swap (_swap_views) when it is one CX since the last
     materialization, else one gather (_gather_index); either leaves the
     identity and keeps b.  U on a classical qubit whose column b_q of
     words has one nonzero entry, in row r, multiplies every stored
-    amplitude by it (a sparse step on any active axis) and sets b_q = r;
-    any other U on a classical qubit activates it first.  Activation
-    inserts the qubit's home axis with the data at stored bit 0, a zero
-    bit at that place in every mask, keeping b_q.  Scales while no qubit
-    is active wait for the first activation and run on its axis; a run
-    that ends with none active activates qubit 0 for them.  At the end of a run
-    in place (no classical qubits, so every b_q = 0) the last step
-    materializes the map; a tracked run's write-back does it instead, with
-    the active qubits' b absorbed.
+    amplitude by it (a sparse step on the top stored bit, bit 0 while none
+    is active) and sets b_q = r; any other U on a classical qubit
+    activates it first, keeping b_q: its new home bit's upper half of the
+    state is still zero (_execute), so it moves no data and changes no
+    other mask.  A run that ends with none active but has steps activates
+    qubit 0.  At the end of a run in place (no classical qubits, so every
+    b_q = 0) the last step materializes the map; a tracked run's
+    write-back does it instead, with b and the activation order absorbed.
 
-    Returns the stretches, each as its steps' classes, their compact
-    qubits (a gather's as its columns and offset), the indices in
-    words.reshape(-1, 2) of the four entries of each one-qubit step (-1
-    for a zero entry), and the axis position activated after it (None for
-    the last); the classical values at the end; and, for a tracked run
-    whose map or active b is not trivial, the write-back's gather as
-    (columns, offset, whether the map is not the identity), else None.
+    Returns the steps as their classes, stored bits (a gather's as its
+    columns and offset), axis counts m and, per one-qubit step, a pick: 8
+    times its gate's index in words.reshape(-1, 4, 2) plus its form in
+    _PICKS; the classical values at the end; and, for a tracked run, the
+    write-back as the stored bits of the active qubits from the last in
+    qubit order up (_gather_index's columns), the offset, and whether the
+    map is not the identity (a CX pass), else None.
     """
     frame = [values.get(q, 0) for q in range(n)]
-    rank = {q: i for i, q in enumerate(q for q in range(n) if q not in values)}
+    home = {q: i for i, q in enumerate(reversed([q for q in range(n) if q not in values]))}   # in bit order
     row, col = [0] * n, [0] * n
 
-    def home():
-        top = len(rank) - 1
-        for q, i in rank.items():
-            row[q] = col[q] = 1 << (top - i)
+    def identity():
+        for q, i in home.items():
+            row[q] = col[q] = 1 << i
 
-    home()
+    identity()
     pending, last = 0, None   # CXs composed since the map was last the identity, and the latest
     nonzero = words.reshape(-1, 4, 2).any(axis=2).tolist() if values else None
-    stretches = []
-    step_classes, step_qubits, picks = [], [], []
+    step_classes, step_qubits, axes, picks = [], [], [], []
+
+    def step(cls, qs):
+        step_classes.append(cls)
+        step_qubits.append(qs)
+        axes.append(len(home) or 1)
 
     def activate(q):
-        nonlocal step_classes, step_qubits, picks, rank
-        position = sum(a < q for a in rank)
-        if rank:
-            stretches.append((step_classes, step_qubits, picks, position))
-            step_classes, step_qubits, picks = [], [], []
-        else:   # the steps so far are scales waiting for an axis: they run on this one
-            stretches.append(([], [], [], 0))
-        k = len(rank) - position   # the new axis's stored bit
-        for a in rank:
-            row[a] = row[a] >> k << (k + 1) | row[a] & ((1 << k) - 1)
-            col[a] = col[a] >> k << (k + 1) | col[a] & ((1 << k) - 1)
-        row[q] = col[q] = 1 << k
-        rank = {a: i for i, a in enumerate(sorted([*rank, q]))}
+        row[q] = col[q] = 1 << len(home)
+        home[q] = len(home)
 
     def moved():   # whether the map is not the identity
-        return pending == 1 or pending and any(row[q] != 1 << (len(rank) - 1 - i) for q, i in rank.items())
+        return pending == 1 or pending and any(row[q] != 1 << i for q, i in home.items())
 
     def materialize():
         nonlocal pending
         if pending == 1:   # its swap; composing the CX again restores the identity
             c, t = last
-            step_classes.append(CX)
-            step_qubits.append((rank[c], rank[t]))
+            step(CX, (home[c], home[t]))
             row[t] ^= row[c]
             col[c] ^= col[t]
         elif pending:
             if moved():
-                step_classes.append(_GATHER)
-                step_qubits.append((tuple(col[q] for q in reversed(rank)), 0))
-            home()
+                step(_GATHER, (tuple(col[q] for q in home), 0))
+            identity()
         pending = 0
 
     j = -1
     for cls, qs in zip(classes, qubits):
         if cls == CX:
             c, t = qs
-            if c in rank:
-                if t not in rank:
+            if c in home:
+                if t not in home:
                     activate(t)
                 row[t] ^= row[c]
                 col[c] ^= col[t]
@@ -647,43 +654,40 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
         j += 1
         (q,) = qs
         f = frame[q]
-        if q not in rank:
+        if q not in home:
             upper, lower = nonzero[j][f], nonzero[j][2 + f]
             if upper != lower:   # column f has one nonzero entry, in row r
                 r = int(lower)
-                entry = 4 * j + 2 * r + f
-                step_classes.append(SPARSE)
-                step_qubits.append((0,))
-                picks += entry, -1, -1, entry
+                step(SPARSE, ((len(home) or 1) - 1,))
+                picks.append(8 * j + 4 + 2 * r + f)
                 frame[q] = r
                 continue
             activate(q)
         elif pending and (row[q] & (row[q] - 1) or cls != SPARSE and col[q] != row[q]):
             materialize()
         step_classes.append(cls)
-        step_qubits.append((len(rank) - row[q].bit_length() if pending else rank[q],))   # the home axis at the identity
-        picks += (4 * j + 3, 4 * j + 2, 4 * j + 1, 4 * j) if f else (4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3)
+        step_qubits.append((row[q].bit_length() - 1,))
+        axes.append(len(home))
+        picks.append(8 * j + f)
+    steps = step_classes, step_qubits, axes, picks
     if not values:   # in place: the plan's last step materializes the map
         materialize()
-        stretches.append((step_classes, step_qubits, picks, None))
-        return stretches, {}, None
-    if step_classes and not rank:
+        return steps, {}, None
+    if step_classes and not home:
         activate(0)
-    stretches.append((step_classes, step_qubits, picks, None))
     offset = 0
-    for q in rank:
+    for q in home:
         if frame[q]:
             offset ^= col[q]
-    end = {q: frame[q] for q in range(n) if q not in rank}
-    permuted = moved()
-    return stretches, end, (tuple(col[q] for q in reversed(rank)), offset, permuted) if offset or permuted else None
+    end = {q: frame[q] for q in range(n) if q not in home}
+    return steps, end, (tuple(col[q] for q in sorted(home, reverse=True)), offset, moved())
 
 
 def _frame_view(planes: np.ndarray, values: dict) -> np.ndarray:
     """The amplitudes a compact state holds, as a view of the full planes
     with one axis per qubit not in `values`, each qubit in `values` indexed
     at its value."""
-    axes = tuple(values.get(q, slice(None)) for q in range(planes.shape[1].bit_length() - 1))
+    axes = tuple([values.get(q, slice(None)) for q in range(planes.shape[1].bit_length() - 1)])
     return planes.reshape((2,) + (2,) * len(axes))[(slice(None),) + axes]
 
 
@@ -694,49 +698,45 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     gathers).
 
     Clamp-freedom is one decision per run (_clamp_free), from the full
-    state and every word: a clamp-free run's plans take the _CLAMP_FREE
+    state and every word: a clamp-free run's plan takes the _CLAMP_FREE
     steps.  In a zero-absorbing arithmetic the run tracks classical qubits
-    (_classical, _track): it gathers the amplitudes that can be nonzero
-    into compact planes, runs each stretch between two activations as one
-    _prepare plan on them, and copies them back into the full planes at
-    the classical values, zeroing the rest.  A state without classical
-    qubits runs one plan in place, as does every float run.  Either way CX
-    is deferred as an index map (_track); what is left of it at the end is
-    materialized by the write-back's gather or by the in-place plan's last
-    step.
+    (_classical, _track): it copies the amplitudes that can be nonzero
+    into the first words of compact planes sized for the run's last axis
+    count, the rest zero, runs one _prepare plan on them, each step on the
+    axes active at its gate, and writes them back into the full planes at
+    the classical values, zeroing the rest, by one copy when the
+    activation order is qubit order and nothing else moved, else by one
+    gather.  A state without classical qubits, and every float run, runs
+    the same plan in place, every qubit active from the start.  Either way
+    CX is deferred as an index map (_track); what is left of it at the end
+    is materialized by the write-back or by the in-place plan's last step.
     """
     arith = _ARITH[state.arith]
     clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
     values = _classical(state.planes) if arith.zero_absorbing else {}
-    stretches, end, last = _track(state.n, classes, qubits, words, values)
-    planes = np.array(_frame_view(state.planes, values)).reshape(2, -1) if values else state.planes
-    steps_arith = _CLAMP_FREE if clamp_free else arith
-    # the words' entries and a zero one; without classical qubits every step is its gate, words and all
-    entries = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype))) if values else None
-    swept = passes = 0
-    for step_classes, step_qubits, picks, position in stretches:
-        if step_classes:
-            step_words = entries[picks].reshape(-1, 4, 2) if values else words
-            plan = _prepare(planes, steps_arith, step_classes, step_qubits, step_words, workers)
-            for step in plan:
-                _run_parts(*step)
-            swept += len(plan) * planes.shape[1]
-            passes += step_classes.count(CX) + step_classes.count(_GATHER)
-        if position is not None:
-            wider = np.zeros((2, 2 * planes.shape[1]), planes.dtype)
-            wider.reshape(2, 1 << position, 2, -1)[:, :, 0] = planes.reshape(2, 1 << position, -1)
-            planes = wider
+    steps, end, back = _track(state.n, classes, qubits, words, values)
+    planes = state.planes
+    if values:
+        planes = np.zeros((2, 1 << (state.n - len(end))), planes.dtype)
+        start = _frame_view(state.planes, values)
+        planes[:, :1 << (state.n - len(values))].reshape(start.shape)[...] = start
+    for step in _prepare(planes, _CLAMP_FREE if clamp_free else arith, *steps, words, workers):
+        _run_parts(*step)
+    step_classes, _, axes, _ = steps
+    swept = sum(axes.count(m) << m for m in set(axes))
+    passes = step_classes.count(CX) + step_classes.count(_GATHER)
     if values:
         if end:
             state.planes[:] = 0
         view = _frame_view(state.planes, end)
-        if last is None:
-            view[...] = planes.reshape(view.shape)
-        else:   # the map materialized by the write-back; it counts as a pass when it holds CXs
-            columns, offset, moved = last
+        columns, offset, moved = back
+        if offset or any(column != 1 << k for k, column in enumerate(columns)):
             np.take(planes, _gather_index(columns, offset).reshape(view.shape[1:]), axis=1, out=view, mode="clip")
-            swept += moved * planes.shape[1]
-            passes += moved
+        else:
+            view[...] = planes.reshape(view.shape)
+        # the map materialized by the write-back; it counts as a pass when it holds CXs
+        swept += moved * planes.shape[1]
+        passes += moved
     return clamp_free, swept, passes
 
 
@@ -787,14 +787,19 @@ class RunStats:
 def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     """Apply the transpiled gates in order (in place); returns (state, stats).
 
-    The run quantizes every gate once and prepares its plan against the
-    state, then executes it; the counts come from the circuit's classes.
+    The run quantizes each distinct gate once and prepares its plan against
+    the state, then executes it; the counts come from the circuit's classes.
     """
     if tc.n != state.n:
         raise ValueError(f"circuit has {tc.n} qubits, state has {state.n}")
     t0 = time.perf_counter()
-    matrices = [gate_matrix(g) for g, cls in zip(tc.gates, tc.classes) if cls != CX]
-    words = _words(np.array(matrices, np.complex128).reshape(-1, 2, 2), state.arith)
+    gates = [g for g, cls in zip(tc.gates, tc.classes) if cls != CX]
+    # a gate's matrix is its kind's at its angle's bits: Rz(0.0) and Rz(-0.0) differ in float
+    keys = [(g.kind, g.angle if g.angle is None else struct.pack("d", g.angle)) for g in gates]
+    distinct = dict(zip(keys, gates))
+    rows = {key: i for i, key in enumerate(distinct)}
+    entries = np.array([gate_entries(g) for g in distinct.values()], np.complex128).reshape(-1, 2, 2)
+    words = _words(entries, state.arith)[list(map(rows.get, keys))]
     clamp_free, swept, passes = _execute(state, tc.classes, [g.qubits for g in tc.gates], words, workers)
     counts = tc.classes.count(SPARSE), tc.classes.count(DENSE), tc.classes.count(CX)
     return state, RunStats(*counts, time.perf_counter() - t0, clamp_free, swept, passes)
@@ -886,11 +891,13 @@ def _numeral(field: str, kind: type):
     return kind(field)
 
 
-def _check_lines(lines: list[str], count: int) -> None:
-    """Raise ValueError naming the first body line of lines[1:] that fails
-    the per-line checks; parse_dump runs them only to name an error."""
-    seen = bytearray(count)
-    for lineno, ln in enumerate(lines[1:], start=2):
+def _check_lines(lines: list[str], seen: bytearray, lineno: int) -> None:
+    """Raise ValueError naming the first of these non-blank body lines, the
+    first being dump line `lineno`, that fails the per-line checks; `seen`
+    marks the indices of the lines before them.  parse_dump runs them only
+    to name an error."""
+    count = len(seen)
+    for lineno, ln in enumerate(lines, start=lineno):
         fields = ln.split()
         if len(fields) != 5:
             raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(fields)}")
@@ -928,12 +935,14 @@ def _header(pieces) -> tuple[str, list[str]]:
     return "", []
 
 
-def _read_body(pieces, sv: StateVector) -> np.ndarray:
+def _read_body(pieces, sv: StateVector, refuse: Callable) -> np.ndarray:
     """Store the body lines in sv's planes by index, read by np.loadtxt one
     piece at a time (it skips blank lines); ValueError unless there are 2^n
     of them, each index once, or on a line _check_lines rejects or a
-    non-finite value.  Returns the indices whose hex columns are not the
-    quantized float columns."""
+    non-finite value.  Before it raises, refuse(the pieces from the one
+    that failed on, the indices read before it) names the first failure
+    it can.  Returns the indices whose hex columns are not the quantized
+    float columns."""
     count = len(sv)
     index = np.empty(count, np.int64)
     bad = []
@@ -941,31 +950,51 @@ def _read_body(pieces, sv: StateVector) -> np.ndarray:
     for lines in pieces:
         if not any(map(str.strip, lines)):   # loadtxt warns on a piece with no data
             continue
-        rec = np.loadtxt(lines, _DUMP_LINE, comments=None, ndmin=1)
-        i = rec["index"]
-        hexes = np.stack((rec["re_hex"], rec["im_hex"])).view(np.uint8).reshape(2, -1, 9)
-        if done + i.size > count or i.min() < 0 or i.max() >= count or hexes[..., 8].any():
-            raise ValueError("dump has too many lines, an index out of range or a hex field longer than 8 digits")
-        # unhexlify rejects any byte but a hex digit, the zero padding of a short field too
-        words = np.frombuffer(binascii.unhexlify(hexes[..., :8].tobytes()), ">i4").reshape(2, -1)
-        values = np.stack((rec["re"], rec["im"]))
-        bad.append(i[(fx.to_fixed_array(values) != words).any(axis=0)])
-        sv.planes[:, i] = _ARITH[sv.arith].quantize(values)
+        try:
+            rec = np.loadtxt(lines, _DUMP_LINE, comments=None, ndmin=1)
+            i = rec["index"]
+            hexes = np.stack((rec["re_hex"], rec["im_hex"])).view(np.uint8).reshape(2, -1, 9)
+            if done + i.size > count or i.min() < 0 or i.max() >= count or hexes[..., 8].any():
+                raise ValueError("dump has too many lines, an index out of range or a hex field longer than 8 digits")
+            # unhexlify rejects any byte but a hex digit, the zero padding of a short field too
+            words = np.frombuffer(binascii.unhexlify(hexes[..., :8].tobytes()), ">i4").reshape(2, -1)
+            values = np.stack((rec["re"], rec["im"]))
+            bad.append(i[(fx.to_fixed_array(values) != words).any(axis=0)])
+            sv.planes[:, i] = _ARITH[sv.arith].quantize(values)
+        except ValueError:
+            refuse(itertools.chain([lines], pieces), index[:done])
+            raise
         index[done:done + i.size] = i
         done += i.size
     if done != count or (np.bincount(index, minlength=count) != 1).any():
+        refuse((), index[:done])
         raise ValueError("dump index missing or repeated")
     return np.concatenate(bad)
 
 
-def _refuse(text: str, n: int, arith: str) -> None:
+def _refuse(text: str, n: int, arith: str, pieces=(), prior: np.ndarray = np.empty(0, np.int64)) -> None:
     """The checks of a dump that failed to read, in order, as separate
-    passes over its lines: raise ValueError naming the first that fails."""
+    passes: raise ValueError naming the first that fails.  The line count
+    takes a pass over the text; the per-line checks run from `pieces` on
+    only.  `prior` holds the indices of the body lines before them, which
+    passed every check of _read_body, so a repeated index is the only
+    per-line failure they can hold, and it is found from `prior` alone."""
     count = sum(1 for lines in _text_pieces(text) for ln in lines if ln.strip()) - 1
     if count.bit_length() - 1 != n or count != 1 << n:   # n may be absurd: 1 << n comes last
         raise ValueError(f"n={n} needs 2^{n} amplitude lines, got {count}")
     StateVector(n, arith)   # its own refusals: n < 1, an unknown arithmetic, too large
-    _check_lines([ln for ln in text.splitlines() if ln.strip()], count)   # names the first bad line
+    order = np.argsort(prior, kind="stable")   # equal indices stay in line order
+    repeats = order[1:][prior[order[1:]] == prior[order[:-1]]]
+    if repeats.size:
+        first = repeats.min()
+        raise ValueError(f"dump line {first + 2}: index {prior[first]} out of range or repeated")
+    seen = bytearray(count)
+    np.frombuffer(seen, np.uint8)[prior] = 1
+    lineno = prior.size + 2
+    for lines in pieces:   # names the first bad line from here on
+        body = [ln for ln in lines if ln.strip()]
+        _check_lines(body, seen, lineno)
+        lineno += len(body)
 
 
 def parse_dump(text: str) -> StateVector:
@@ -977,8 +1006,9 @@ def parse_dump(text: str) -> StateVector:
     Fields are plain ASCII numerals, and hex fields exactly 8 hex digits,
     as format_dump writes them.  The text is split into lines once, a piece
     at a time, and the header, the line count and the body are read from
-    that pass, the body as arrays; only a dump that fails is read again,
-    check by check, to name its first failure.
+    that pass, the body as arrays; only a dump that fails is read again, to
+    name its first failure: its lines counted, and the per-line checks run
+    from the piece that failed on (_refuse).
     """
     pieces = _text_pieces(text)
     head, rest = _header(pieces)
@@ -993,10 +1023,10 @@ def parse_dump(text: str) -> StateVector:
         if not 0 <= n < (len(text) // 2).bit_length():
             raise ValueError("dump too short for its n")
         sv = StateVector(n, arith)
-        bad = _read_body(itertools.chain([rest], pieces), sv)
     except ValueError:
         _refuse(text, n, arith)
         raise
+    bad = _read_body(itertools.chain([rest], pieces), sv, partial(_refuse, text, n, arith))
     if bad.size:
         raise ValueError(f"dump index {bad.min()}: hex columns are not the quantized float columns")
     return sv

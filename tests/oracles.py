@@ -190,3 +190,78 @@ def apply_1q_flagloop(state: StateVector, app: GateApplication) -> StateVector:
         if i % stride == stride - 1:
             flag ^= 1
     return state
+
+
+# ---------------------------------------------------------------------------
+# What a run sweeps and how many passes carry out its CXs, from the rules of
+# the engine's classical-qubit tracking and deferred CX, with each active
+# qubit's axis labelled by the qubit itself: no stored-bit layout at all.
+# ---------------------------------------------------------------------------
+
+def run_counts(state: StateVector, gates) -> tuple[int, int]:
+    """(swept_amps, cx_passes) of run_circuit(gates) on `state`.
+
+    A fixed run tracks the qubits on which every nonzero amplitude agrees
+    (all of them on the zero state); a float run starts with every qubit
+    active.  Per active qubit the map keeps a row (the axes whose parity is
+    its logical bit) and a column (the axes whose flip flips it alone), and
+    per qubit a frame bit.  A step sweeps 2^m amplitudes, m the active
+    qubits (at least 1).  A materialized map that is not the identity is
+    one pass of 2^m (a quarter swap or a gather); a tracked run's
+    write-back is that pass at the end."""
+    n = state.n
+    nonzero = np.flatnonzero(np.logical_or(*state.planes))
+    values = {}
+    if state.arith == FIXED:
+        for q in range(n):
+            bits = set((nonzero >> (n - 1 - q) & 1).tolist())
+            if len(bits) < 2:
+                values[q] = bits.pop() if bits else 0
+    frame = [values.get(q, 0) for q in range(n)]
+    row = {q: 1 << q for q in range(n) if q not in values}
+    col = dict(row)
+    pending, swept, passes = 0, 0, 0
+
+    def moved():
+        return pending == 1 or pending and any(row[q] != 1 << q for q in row)
+
+    def materialize():
+        nonlocal pending, swept, passes
+        if moved():
+            swept += 1 << len(row)
+            passes += 1
+        for q in row:
+            row[q] = col[q] = 1 << q
+        pending = 0
+
+    for g in gates:
+        if g.kind.value == "cx":
+            c, t = g.qubits
+            if c in row:
+                row.setdefault(t, 1 << t)
+                col.setdefault(t, 1 << t)
+                row[t] ^= row[c]
+                col[c] ^= col[t]
+                pending += 1
+            frame[t] ^= frame[c]
+            continue
+        (q,) = g.qubits
+        if q not in row:
+            u = embed_1q(1, 0, MAT_1Q[g.kind.value]() if g.angle is None else MAT_ANGLED[g.kind.value](g.angle))
+            f = frame[q]
+            upper, lower = (fx.to_fixed(u[r, f].real).raw or fx.to_fixed(u[r, f].imag).raw for r in (0, 1))
+            if bool(upper) != bool(lower):   # a scale of every stored amplitude
+                swept += 1 << max(len(row), 1)
+                frame[q] = int(bool(lower))
+                continue
+            row[q] = col[q] = 1 << q
+        elif pending and (row[q] & (row[q] - 1) or g.kind.value not in ("s", "rz") and col[q] != row[q]):
+            materialize()
+        swept += 1 << len(row)
+    if values:
+        if moved():
+            swept += 1 << len(row)
+            passes += 1
+    else:
+        materialize()
+    return swept, passes

@@ -385,10 +385,20 @@ RUN_DUMP_SHA256 = {
 
 
 class TestPinnedDumps:
-    @pytest.mark.parametrize("threads", ["1", "2", "4", "8", "abc"])   # an unreadable count runs one worker
+    @pytest.mark.parametrize("threads", ["1", "2", "4", "8", pytest.param("", id="empty")])   # empty: one worker
     @pytest.mark.parametrize("spec,arith", sorted(RUN_DUMP_SHA256))
     def test_run_dump_sha256(self, capsys, monkeypatch, spec, arith, threads):
         monkeypatch.setenv("QEA_SIM_THREADS", threads)
         code, out, err = run_cli(capsys, "run", "--generate", spec, "--arith", arith)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == RUN_DUMP_SHA256[spec, arith]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "+2", " 2", "1.5", "\u0662"])
+    @pytest.mark.parametrize("argv", [["run", "--generate", "qft:3"], ["compare", "--generate", "qft:3"],
+                                      ["bench", "qft", "--qubits", "3", "--repeats", "1"]], ids=["run", "compare", "bench"])
+    def test_bad_thread_count_refused(self, capsys, monkeypatch, argv, threads):
+        # anything but a positive integer in ASCII digits is refused before any work
+        monkeypatch.setenv("QEA_SIM_THREADS", threads)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: QEA_SIM_THREADS must be a positive integer, got {threads!r}\n"

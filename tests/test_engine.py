@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -430,6 +431,81 @@ class TestDeferredCx:
         assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
         assert stats.cx_passes <= stats.cx_gates
         assert stats.swept_amps <= len(tc.gates) << n
+
+
+@st.composite
+def _activation_order_circuits(draw, n):
+    """n >= 2: every qubit touched in a drawn order other than qubit order,
+    each by a dense gate (H, or Rx/Ry away from +-pi) or by a CX from a
+    qubit touched before, with 0-2 sparse gates and CXs between, then
+    _cx_circuits' gates.  From a basis input the qubits activate in the
+    drawn order."""
+    order = draw(st.permutations(range(n)).filter(lambda p: list(p) != sorted(p)))
+    dense = st.one_of(st.just((GateKind.H, None)),
+                      st.tuples(st.sampled_from([GateKind.RX, GateKind.RY]), st.floats(0.3, 2.8)))
+    gates = []
+    for k, q in enumerate(order):
+        if k and draw(st.booleans()):
+            gates.append(Gate(GateKind.CX, (draw(st.sampled_from(order[:k])), q)))
+        else:
+            kind, angle = draw(dense)
+            gates.append(Gate(kind, (q,), angle))
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.lists(st.sampled_from(order), min_size=2, max_size=2, unique=True))
+            gates.append(draw(st.sampled_from([Gate(GateKind.CX, (a, b)), Gate(GateKind.RZ, (b,), 0.7),
+                                               Gate(GateKind.S, (a,))])))
+    return transpile(Circuit(n, tuple(gates) + draw(_cx_circuits(n)).gates))
+
+
+class TestActivationOrder:
+    """A tracked run is one plan on a compact state in activation order
+    (engine._track): each activated qubit takes the next stored bit above
+    the ones before, and the write-back gathers into qubit order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(2, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           kind=st.sampled_from(["basis", "block"]),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_runs_match_gate_by_gate(self, data, n, arith, kind, tile, workers):
+        # bits as the flag loop and the CX oracle give them, and swept_amps and
+        # cx_passes as the tracking rules give them, with no stored-bit layout
+        tc = data.draw(_activation_order_circuits(n))
+        size = 1 << n
+        mask = size - 1 if kind == "basis" else data.draw(st.integers(0, size - 1))
+        bits = data.draw(st.integers(0, size - 1))
+        block = np.flatnonzero((np.arange(size) ^ bits) & mask == 0)
+        values = st.one_of(_WORDS, st.integers(-fx.RAW_ONE // 8, fx.RAW_ONE // 8)) if arith == FIXED else _VALUES
+        words = data.draw(st.lists(values, min_size=2 * block.size, max_size=2 * block.size))
+        a, b = StateVector(n, arith), StateVector(n, arith)
+        a.planes[:, block] = b.planes[:, block] = np.reshape(words, (2, block.size))
+        counts = oracles.run_counts(b, tc.gates)
+        with mock.patch.object(engine, "_TILE", tile):
+            _, stats = run_circuit(tc, a, workers)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+        assert (stats.swept_amps, stats.cx_passes) == counts
+
+    @pytest.mark.parametrize("tc", [transpile(generate_qft(12)), transpile(generate_template("rotation", 10, 3, 7))],
+                             ids=["qft:12", "template:rotation:10:3:7"])
+    def test_one_plan_per_tracked_run(self, tc):
+        # from |0...0>: every qubit starts classical and the run activates
+        # them as it goes, on one plan whose steps run on growing prefixes
+        with mock.patch.object(engine, "_prepare", wraps=engine._prepare) as prepare:
+            _, stats = run_circuit(tc, StateVector.zero(tc.n, FIXED))
+        assert prepare.call_count == 1
+        axes = prepare.call_args.args[4]
+        assert len(set(axes)) > 1 and axes == sorted(axes)
+        assert stats.swept_amps == oracles.run_counts(StateVector.zero(tc.n, FIXED), tc.gates)[0]
+
+    @pytest.mark.parametrize("angles", [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0]])
+    def test_signed_zero_angles_keep_their_words(self, angles):
+        # Rz(0.0) and Rz(-0.0) have entries whose imaginary zeros differ in
+        # sign, which a float run's products keep: each distinct gate's words
+        # are made once, by its kind and the angle's bits, not its value
+        a, b = StateVector(4, FLOAT), StateVector(4, FLOAT)   # every (re, im) of signed zeros and +-1
+        a.planes[:] = b.planes[:] = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0], repeat=2))).T
+        tc = transpile(Circuit(4, tuple(Gate(GateKind.RZ, (q,), angle) for angle in angles for q in (0, 3))))
+        run_circuit(tc, a)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
 
 
 class TestCxPasses:
@@ -996,6 +1072,9 @@ class TestDumpFormat:
         ({1: "n=0_2 arith=fixed"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=0_2 arith=fixed'"),
         # no line but a blank one: no header at all
         (dict.fromkeys(range(1, 6)), "dump header must be 'n=<n> arith=<fixed|float>', got ''"),
+        # a repeated index on a line before the failing one comes first
+        ({3: "0 00000000 00000000 0.0 0.0", 5: "3 0000000g 00000000 0.0 0.0"},
+         "dump line 3: index 0 out of range or repeated"),
     ])
     def test_rejection_table(self, edits, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1068,6 +1147,22 @@ class TestDumpFormat:
         format_dump(sv)   # first-call allocations out of the count
         text, peak = _traced_peak(lambda: format_dump(sv))
         assert peak <= 3 * len(text)
+
+    def test_refusal_line_checks_from_the_failing_piece(self):
+        # a bad hex field on the last of 2^10 body lines, the text read in
+        # pieces of about 2000 characters: the per-line checks that name it
+        # see the last piece only, not the whole dump
+        sv = StateVector.from_complex(oracles.random_state(10, np.random.default_rng(1010)), FIXED)
+        lines = format_dump(sv).splitlines()
+        fields = lines[-1].split()
+        fields[1] = "0000000g"
+        lines[-1] = " ".join(fields)
+        with mock.patch.object(engine, "_DUMP_PIECE", 2000), \
+                mock.patch.object(engine, "_check_lines", wraps=engine._check_lines) as check:
+            with pytest.raises(ValueError, match=f"^dump line 1025: unreadable field in {re.escape(repr(lines[-1]))}$"):
+                parse_dump("\n".join(lines) + "\n")
+        checked = sum(len(call.args[0]) for call in check.call_args_list)
+        assert 0 < checked < len(sv) // 10
 
     def test_short_text_refused_before_allocating(self):
         # a two-line text cannot hold 2^28 amplitude lines: parse_dump
