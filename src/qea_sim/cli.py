@@ -170,6 +170,8 @@ _BENCH_COLS = ("name", "n", "gates", "fidelity", "mse", "wall_time_s", "modeled_
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     suite = _bench_suite(args)
     cfg = _pe_config(args)
     reports = []

@@ -75,16 +75,16 @@ def max_workers() -> int:
 
 def _fixed_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     # one rounding of the exact two-term sum, then saturation; b is scratch
-    return fx.saturate_array(fx.round_q60_array(np.add(a, b, out=a), out=b), out=out)
+    return fx.saturate_array(fx.round_q60_array(np.add(a, b, out=a), b, b), out)
 
 
 def _fixed_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return fx.saturate_array(np.add(a, b, out=a), out=out)
+    return fx.saturate_array(np.add(a, b, out=a), out)
 
 
 def _rounded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     # _fixed_product without saturation: b holds the carry, out may be int32 state words
-    return fx.round_q60_array(np.add(a, b, out=a), out=out, carry=b)
+    return fx.round_q60_array(np.add(a, b, out=a), out, b)
 
 
 @dataclass(frozen=True)
@@ -331,22 +331,23 @@ def _operands(words: np.ndarray, sparse: bool, wide: type) -> tuple[np.ndarray, 
 
 def _tile_kernel(planes: np.ndarray, arith: _Arith, target: int, sparse: bool, tile: int, rows) -> tuple:
     """What _one_qubit needs for gates of one mode on one target: the planes
-    viewed as tiles, and per part the arrays it uses, prefixes of its row."""
+    viewed as tiles, and per part the arrays it uses, prefixes of its row.
+    One reshape makes a tile `blocks` blocks of `offsets` offsets: part of
+    one block's offsets when the stride is at least a tile, else whole
+    blocks."""
     stride = planes.shape[1] >> (target + 1)
-    if stride >= tile:   # a tile is part of one block's offset range
-        view = planes.reshape(2, 1 << target, 2, stride // tile, tile).transpose(1, 3, 2, 0, 4)[..., None, :]
-    else:                # a tile is a group of whole blocks
-        view = planes.reshape(2, -1, tile // stride, 2, stride).transpose(1, 3, 0, 2, 4)[:, None]
-        # offsets innermost, unless a block holds so few that a strided walk
-        # over the blocks is cheaper than numpy's inner loops of length stride.
-        # Both walks timed in turn in one warm process on a 2-vCPU Xeon
-        # (n=6-16), blocks-innermost over offsets-innermost: 0.30-1.02 at
-        # stride 2 and 0.53-1.05 at stride 4, lowest at n=10-12; 0.62-1.21
-        # at stride 8, slower at n=16; 0.9-2.4 from stride 16.  At stride 1
-        # the two walks are one.
-        if stride <= 4:
-            view = view.swapaxes(4, 5)
-    # view[divmod(k, cols)] is tile k: (half, plane) + inner
+    blocks, offsets = max(1, tile // stride), min(tile, stride)
+    # (group, chunk, half, plane, block, offset)
+    view = planes.reshape(2, -1, blocks, 2, stride // offsets, offsets).transpose(1, 4, 3, 0, 2, 5)
+    # offsets innermost, unless a block holds so few that a strided walk over
+    # the blocks is cheaper than numpy's inner loops of length stride.  Both
+    # walks timed in turn in one warm process on a 2-vCPU Xeon (n=6-16),
+    # blocks-innermost over offsets-innermost: 0.30-1.02 at stride 2 and
+    # 0.53-1.05 at stride 4, lowest at n=10-12; 0.62-1.21 at stride 8, slower
+    # at n=16; 0.9-2.4 from stride 16.  At stride 1 the two walks are one.
+    if blocks > 1 and stride <= 4:
+        view = view.swapaxes(4, 5)
+    # view[divmod(k, chunks)] is tile k: (half, plane) + inner
     inner = view.shape[4:]
     shape = ((2, 2) if sparse else (2, 2, 2)) + inner
     size = (4 if sparse else 8) * tile
@@ -478,26 +479,26 @@ _GATHER = "gather"
 _PICKS = np.array([[0, 1, 2, 3], [3, 2, 1, 0]] * 2 + [[e, -1, -1, e] for e in range(4)])
 
 
-def _prepare(planes: np.ndarray, arith: _Arith, classes: list, qubits: list, axes: list, picks: list,
-             words: np.ndarray, workers: int) -> list:
+def _prepare(planes: np.ndarray, arith: _Arith, steps: list, words: np.ndarray, workers: int) -> list:
     """A plan on these (2, 2^M) planes: one _run_parts argument tuple per
     step; `arith` gives the planes' words and the one-qubit steps' narrow
     steps (their variant's, or _CLAMP_FREE).
 
     The host's share of the device loading each gate's context before the
-    sweep (pe_model.GATE_BYTES), once per run.  The steps are as _track
-    gives them; one on m axes runs on the first 2^m words of each plane,
-    a shorter range of tiles, or one smaller tile.  Operands come from the
-    picked entries of `words` (as _words lays them out) by one indexing
-    per mode, tile views once per target, mode and tile size.  Tiles of
-    _TILE pairs are the unit of work and the only work sharded: a quarter
-    swap or a gather is one part.  Every tile shape's product, scratch and
-    widened tile (in a row per tile part), the swap temporary and a gather's
-    copy of the planes are reshaped prefixes of one flat buffer: one
-    cache-warm block.
+    sweep (pe_model.GATE_BYTES), once per run.  The steps are _track's
+    records, transposed once here; one on m axes runs on the first 2^m
+    words of each plane, a shorter range of tiles, or one smaller tile.
+    Operands come from the picked entries of `words` (as _words lays them
+    out) by one indexing per mode, tile views once per target, mode and
+    tile size.  Tiles of _TILE pairs are the unit of work and the only work
+    sharded: a quarter swap or a gather is one part.  Every tile shape's
+    product, scratch and widened tile (in a row per tile part), the swap
+    temporary and a gather's copy of the planes are reshaped prefixes of
+    one flat buffer: one cache-warm block.
     """
-    if not classes:
+    if not steps:
         return []
+    classes, _, axes, picks = zip(*steps)
     top = planes.shape[1].bit_length() - 2   # stored bit k is axis top - k of the planes
     tile = min(_TILE, 1 << top)
     spans = {m: min(tile, 1 << (m - 1)) for m in set(axes)}   # pairs per tile on m axes
@@ -516,26 +517,25 @@ def _prepare(planes: np.ndarray, arith: _Arith, classes: list, qubits: list, axe
 
     rows = buf[:parts * row].reshape(parts, row)
     flat = buf.view(arith.dtype)
-    if modes:   # the steps' entries, picked from the words' and a zero one (_PICKS)
+    if modes:   # each step's entries, picked from the words' and a zero one (_PICKS)
         picks = np.array(picks)
         forms = _PICKS[picks & 7]
         index = np.where(forms < 0, -1, (picks >> 3 << 2)[:, None] + forms)
         words = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype)))[index]
     operands = {mode == SPARSE: _operands(words, mode == SPARSE, arith.wide) for mode in modes}
-    kernels, steps, j = {}, [], 0
-    for cls, qs, m in zip(classes, qubits, axes):
+    kernels, plan = {}, []
+    for k, (cls, bits, m, _) in enumerate(steps):
         if cls == CX:
-            steps.append((_swap, [range(1)], *_swap_views(planes[:, :1 << m], *qs, flat)))
+            plan.append((_swap, [range(1)], *_swap_views(planes[:, :1 << m], *bits, flat)))
         elif cls == _GATHER:
-            steps.append((_gather, [range(1)], planes[:, :1 << m], _gather_index(*qs), flat[:2 << m].reshape(2, -1)))
+            plan.append((_gather, [range(1)], planes[:, :1 << m], _gather_index(*bits), flat[:2 << m].reshape(2, -1)))
         else:
-            key = top - qs[0], cls == SPARSE, spans[m]   # the tile views of the first 2^m words
+            key = top - bits[0], cls == SPARSE, spans[m]   # the tile views of the first 2^m words
             if key not in kernels:
                 kernels[key] = _tile_kernel(planes, arith, *key, rows)
             ur, sgn = operands[key[1]]
-            steps.append((_one_qubit, tile_parts[m], kernels[key], ur[j], sgn[j]))
-            j += 1
-    return steps
+            plan.append((_one_qubit, tile_parts[m], kernels[key], ur[k], sgn[k]))
+    return plan
 
 
 def _classical(planes: np.ndarray) -> dict[int, int]:
@@ -593,10 +593,11 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
     b_q = 0) the last step materializes the map; a tracked run's
     write-back does it instead, with b and the activation order absorbed.
 
-    Returns the steps as their classes, stored bits (a gather's as its
-    columns and offset), axis counts m and, per one-qubit step, a pick: 8
-    times its gate's index in words.reshape(-1, 4, 2) plus its form in
-    _PICKS; the classical values at the end; and, for a tracked run, the
+    Returns the steps as one list of records (class, stored bits, axis
+    count m, pick), all made by step(): a gather's bits are its columns and
+    offset, and a one-qubit step's pick is 8 times its gate's index in
+    words.reshape(-1, 4, 2) plus its form in _PICKS (0 for a permutation);
+    the classical values at the end; and, for a tracked run, the
     write-back as the stored bits of the active qubits from the last in
     qubit order up (_gather_index's columns), the offset, and whether the
     map is not the identity (a CX pass), else None.
@@ -612,12 +613,10 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
     identity()
     pending, last = 0, None   # CXs composed since the map was last the identity, and the latest
     nonzero = words.reshape(-1, 4, 2).any(axis=2).tolist() if values else None
-    step_classes, step_qubits, axes, picks = [], [], [], []
+    steps = []
 
-    def step(cls, qs):
-        step_classes.append(cls)
-        step_qubits.append(qs)
-        axes.append(len(home) or 1)
+    def step(cls, bits, pick=0):   # a step on the axes active now
+        steps.append((cls, bits, len(home) or 1, pick))
 
     def activate(q):
         row[q] = col[q] = 1 << len(home)
@@ -658,22 +657,17 @@ def _track(n: int, classes: list, qubits: list, words: np.ndarray, values: dict)
             upper, lower = nonzero[j][f], nonzero[j][2 + f]
             if upper != lower:   # column f has one nonzero entry, in row r
                 r = int(lower)
-                step(SPARSE, ((len(home) or 1) - 1,))
-                picks.append(8 * j + 4 + 2 * r + f)
+                step(SPARSE, ((len(home) or 1) - 1,), 8 * j + 4 + 2 * r + f)
                 frame[q] = r
                 continue
             activate(q)
         elif pending and (row[q] & (row[q] - 1) or cls != SPARSE and col[q] != row[q]):
             materialize()
-        step_classes.append(cls)
-        step_qubits.append((row[q].bit_length() - 1,))
-        axes.append(len(home))
-        picks.append(8 * j + f)
-    steps = step_classes, step_qubits, axes, picks
+        step(cls, (row[q].bit_length() - 1,), 8 * j + f)
     if not values:   # in place: the plan's last step materializes the map
         materialize()
         return steps, {}, None
-    if step_classes and not home:
+    if steps and not home:
         activate(0)
     offset = 0
     for q in home:
@@ -720,11 +714,10 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
         planes = np.zeros((2, 1 << (state.n - len(end))), planes.dtype)
         start = _frame_view(state.planes, values)
         planes[:, :1 << (state.n - len(values))].reshape(start.shape)[...] = start
-    for step in _prepare(planes, _CLAMP_FREE if clamp_free else arith, *steps, words, workers):
+    for step in _prepare(planes, _CLAMP_FREE if clamp_free else arith, steps, words, workers):
         _run_parts(*step)
-    step_classes, _, axes, _ = steps
-    swept = sum(axes.count(m) << m for m in set(axes))
-    passes = step_classes.count(CX) + step_classes.count(_GATHER)
+    swept = sum(1 << m for _, _, m, _ in steps)
+    passes = sum(cls in (CX, _GATHER) for cls, _, _, _ in steps)
     if values:
         if end:
             state.planes[:] = 0
@@ -1013,9 +1006,12 @@ def parse_dump(text: str) -> StateVector:
     pieces = _text_pieces(text)
     head, rest = _header(pieces)
     try:
-        fields = dict(part.split("=", 1) for part in head.split())
+        parts = head.split()
+        fields = dict(part.split("=", 1) for part in parts)
+        if len(parts) != 2 or fields.keys() != {"n", "arith"}:   # each key once, no other
+            raise ValueError(head)
         n, arith = _numeral(fields["n"], int), fields["arith"]
-    except (KeyError, ValueError):
+    except ValueError:
         raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {head!r}") from None
     try:
         # 2^n + 1 non-blank lines and the breaks between them take more than

@@ -155,27 +155,16 @@ def to_fixed_array(x: np.ndarray) -> np.ndarray:
     return np.rint(y, out=y).astype(np.int32)
 
 
-def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None,
-                    carry: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized nearest-even rounding of Q4.60 words to Q2.30.
-
-    ``out`` is ``wide`` itself (rounding in place), or an array that does
-    not overlap it: one of wide's width, or, given ``carry``, a narrower
-    integer array such as an int32 plane, which keeps the low bits of each
-    result.  ``carry`` is scratch of wide's width (``out`` itself may be
-    it); given it, ``wide`` may be overwritten on the way and nothing is
-    allocated.  Without it, only rounding in place allocates a temporary.
+def round_q60_array(wide: np.ndarray, out: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Vectorized nearest-even rounding of Q4.60 words to Q2.30, allocating
+    nothing.  ``carry`` is scratch of wide's width; ``out`` is ``carry``
+    itself or an integer array that overlaps neither, possibly narrower,
+    such as an int32 plane, which keeps the low bits of each result.
+    ``wide`` may be overwritten on the way.
     """
     # adding half minus one, plus one more when the kept part is odd, carries
     # into the kept bits exactly when round_q60 rounds up
-    if carry is not None:
-        np.right_shift(wide, FRAC_BITS, out=carry)
-    elif out is wide:
-        carry = wide >> FRAC_BITS
-    elif out is None or out.itemsize == wide.itemsize:
-        carry = out = np.right_shift(wide, FRAC_BITS, out=out)
-    else:
-        raise ValueError("rounding into a narrower out needs carry")
+    np.right_shift(wide, FRAC_BITS, out=carry)
     carry &= 1
     carry += _HALF - 1
     if out is carry:
@@ -186,13 +175,11 @@ def round_q60_array(wide: np.ndarray, out: np.ndarray | None = None,
     return np.right_shift(wide, FRAC_BITS, out=out, casting="unsafe")
 
 
-def saturate_array(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp wide words to [RAW_MIN, RAW_MAX].
-
-    Given ``out`` (``raw`` itself, or a narrower integer array such as an
-    int32 plane), ``raw`` is clamped in place on the way and ``out``
-    receives the result.
+def saturate_array(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Clamp wide words to [RAW_MIN, RAW_MAX]: ``raw`` is clamped in place on
+    the way and ``out`` (``raw`` itself, or a narrower integer array such as
+    an int32 plane) receives the result.
     """
     # two ufuncs, not np.clip, whose Python wrapper costs more than both
-    high = np.minimum(raw, RAW_MAX, out=None if out is None else raw)
-    return np.maximum(high, RAW_MIN, out=high if out is None else out, casting="unsafe")
+    high = np.minimum(raw, RAW_MAX, out=raw)
+    return np.maximum(high, RAW_MIN, out=out, casting="unsafe")

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qea_sim import cli, engine, pe_model
+from qea_sim import cli, engine, metrics, pe_model
 from qea_sim.circuit import transpile
 from qea_sim.cli import main, parse_generate_spec
 from qea_sim.engine import parse_dump
@@ -354,6 +354,16 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 1
         assert err == f"error: {message.format(tmp=tmp_path)}\n" and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_bench_repeats_below_one_refused(self, capsys, monkeypatch, count):
+        def refuse(*args):
+            raise AssertionError("a bench entry ran")
+        monkeypatch.setattr(metrics, "bench_circuit", refuse)
+        code, out, err = run_cli(capsys, "bench", "qft", "--qubits", "3", "--repeats", count)
+        assert code == 1
+        assert err == f"error: --repeats must be at least 1, got {count}\n"
         assert out == ""
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):

@@ -492,7 +492,7 @@ class TestActivationOrder:
         with mock.patch.object(engine, "_prepare", wraps=engine._prepare) as prepare:
             _, stats = run_circuit(tc, StateVector.zero(tc.n, FIXED))
         assert prepare.call_count == 1
-        axes = prepare.call_args.args[4]
+        axes = [m for _, _, m, _ in prepare.call_args.args[2]]
         assert len(set(axes)) > 1 and axes == sorted(axes)
         assert stats.swept_amps == oracles.run_counts(StateVector.zero(tc.n, FIXED), tc.gates)[0]
 
@@ -537,6 +537,16 @@ class TestCxPasses:
             c, t = g.qubits
             index ^= (index >> (n - 1 - c) & 1) << (n - 1 - t)
         assert sv.to_complex().tobytes() == psi[index].tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_float_qft_passes(self, n):
+        # the float reference runs every qubit in place: each CP's two CXs
+        # are a quarter swap each, before the Rz on the target that follows
+        # it, and the SWAP network's CXs are one gather at the end
+        with mock.patch.object(engine, "_swap", wraps=engine._swap) as swap, \
+                mock.patch.object(engine, "_gather", wraps=engine._gather) as gather:
+            _, stats = run_circuit(transpile(generate_qft(n)), StateVector.zero(n, FLOAT))
+        assert (stats.cx_passes, swap.call_count, gather.call_count) == (n * (n - 1) + 1, n * (n - 1), 1)
 
     def test_apply_cx_on_a_dense_state_is_one_quarter_swap(self):
         rng = np.random.default_rng(113)
@@ -1075,6 +1085,10 @@ class TestDumpFormat:
         # a repeated index on a line before the failing one comes first
         ({3: "0 00000000 00000000 0.0 0.0", 5: "3 0000000g 00000000 0.0 0.0"},
          "dump line 3: index 0 out of range or repeated"),
+        # the header holds the keys n and arith, each once, and no other
+        ({1: "n=5 arith=fixed n=2"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=5 arith=fixed n=2'"),
+        ({1: "n=2 arith=fixed junk=1"},
+         "dump header must be 'n=<n> arith=<fixed|float>', got 'n=2 arith=fixed junk=1'"),
     ])
     def test_rejection_table(self, edits, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
