@@ -66,14 +66,17 @@ def parse_generate_spec(spec: str) -> tuple[str, Circuit]:
 
 
 def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
-    """A transpiled JSON circuit is returned as is, keeping its global phase."""
-    text = Path(path).read_text()
-    if path.endswith(".json"):
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise CircuitParseError("JSON nested too deeply") from None
-        return Path(path).stem, circuit_from_dict(doc)
+    """A transpiled JSON circuit is returned as is, keeping its global phase.
+    Bytes that are not UTF-8 text, and a .json file that is not JSON, are a
+    CircuitParseError, like any other malformed circuit file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if path.endswith(".json"):
+            return Path(path).stem, circuit_from_dict(json.loads(text))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:   # a JSON message names its line and column
+        raise CircuitParseError(str(exc)) from None
+    except RecursionError:
+        raise CircuitParseError("JSON nested too deeply") from None
     return Path(path).stem, parse_circuit(text)
 
 

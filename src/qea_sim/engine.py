@@ -58,6 +58,7 @@ WORKER_ENV = "QEA_SIM_THREADS"
 
 _PHYS_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 _GATE_BUDGET = _PHYS_BYTES // 120   # a transpiled Gate holds 128-134 bytes (tracemalloc, CPython 3.11)
+_RAW_RANGE = np.int64(fx.RAW_MIN), np.int64(fx.RAW_MAX)   # for .clip, which then skips np.clip's dispatch and int checks
 
 
 def max_workers() -> int:
@@ -74,12 +75,13 @@ def max_workers() -> int:
 
 
 def _fixed_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # one rounding of the exact two-term sum, then saturation; b is scratch
-    return fx.saturate_array(fx.round_q60_array(np.add(a, b, out=a), b, b), out)
+    # saturating the rounded word, still whole in the 64-bit scratch b, is the contract's
+    # one rounding then saturation, saturate(round_q60(a + b)), as fx.cmul computes it
+    return _rounded_product(a, b, b).clip(*_RAW_RANGE, out=out, casting="unsafe")
 
 
 def _fixed_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return fx.saturate_array(np.add(a, b, out=a), out)
+    return np.add(a, b, out=a).clip(*_RAW_RANGE, out=out, casting="unsafe")
 
 
 def _rounded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -817,8 +819,6 @@ def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -
 
 _DUMP_SLICE = 1 << 10   # amplitudes per chunk of dump text written, and floats per block of reprs
 _DUMP_PIECE = 1 << 20   # characters of dump text split into lines at a time
-_HEX_CHARS = np.frombuffer(b"0123456789abcdef", np.uint8)
-_NIBBLES = np.arange(28, -4, -4, dtype=np.uint32)   # shifts of a word's hex digits, first to last
 # a body line as np.loadtxt reads it; a hex field's 9th byte shows a longer one
 _DUMP_LINE = np.dtype([("index", "i8"), ("re_hex", "S9"), ("im_hex", "S9"), ("re", "f8"), ("im", "f8")])
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -835,9 +835,9 @@ def _line_heads(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     for k in range(width - 1, -1, -1):
         index, digit = np.divmod(index, 10)
         heads[:, k] = digit + ord("0")
-    # the nibbles narrowed to uint8: a lookup through them is cheaper than through uint32 words
-    nibbles = np.take(_HEX_CHARS, (words[:, lo:hi, None] >> _NIBBLES).astype(np.uint8) & 15)
-    heads[:, width + 1:width + 9], heads[:, width + 10:width + 18] = nibbles
+    # big-endian words hexlify to their hex digits, first to last: parse_dump's unhexlify inverted
+    hexes = np.frombuffer(binascii.hexlify(words[:, lo:hi].astype(">i4").tobytes()), np.uint8)
+    heads[:, width + 1:width + 9], heads[:, width + 10:width + 18] = hexes.reshape(2, hi - lo, 8)
     return heads.view(f"S{width + 19}")[:, 0]
 
 
@@ -852,7 +852,7 @@ def format_dump(state: StateVector) -> str:
     magnitudes distinct twice the size of its text."""
     values = state._values()
     # fixed planes are their own Q2.30 words; float planes are quantized
-    words = (state.planes if state.arith == FIXED else fx.to_fixed_array(values)).view(np.uint32)
+    words = state.planes if state.arith == FIXED else fx.to_fixed_array(values)
     # abs clears the sign bit, so equal magnitudes are equal bits: 0.0 and -0.0 share one
     magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
     reprs = np.empty(magnitudes.size, _REPR)

@@ -133,11 +133,11 @@ def cmul(a: FixedComplex, b: FixedComplex) -> FixedComplex:
 # ---------------------------------------------------------------------------
 # Vectorized raw-word helpers for the state-vector kernels.
 #
-# The rounding and saturation helpers operate on int64 arrays of wide
-# words.  The kernels multiply 32-bit state words by gate entries of
-# modulus at most 2 (re^2 + im^2 <= 2^62 raw, which engine.apply_1q
-# checks; quantized unitaries are within 2^-28 of 1), so each two-term
-# sum of cross terms is at most 2^31 * 2^31.5 = 2^62.5, inside int64.
+# The rounding helper operates on int64 arrays of wide words, which the
+# kernels then clip (engine._fixed_product).  They multiply 32-bit state
+# words by gate entries of modulus at most 2 (re^2 + im^2 <= 2^62 raw, which
+# engine.apply_1q checks; quantized unitaries are within 2^-28 of 1), so each
+# two-term sum of cross terms is at most 2^31 * 2^31.5 = 2^62.5, inside int64.
 # ---------------------------------------------------------------------------
 
 def to_fixed_array(x: np.ndarray) -> np.ndarray:
@@ -157,29 +157,15 @@ def to_fixed_array(x: np.ndarray) -> np.ndarray:
 
 def round_q60_array(wide: np.ndarray, out: np.ndarray, carry: np.ndarray) -> np.ndarray:
     """Vectorized nearest-even rounding of Q4.60 words to Q2.30, allocating
-    nothing.  ``carry`` is scratch of wide's width; ``out`` is ``carry``
-    itself or an integer array that overlaps neither, possibly narrower,
-    such as an int32 plane, which keeps the low bits of each result.
-    ``wide`` may be overwritten on the way.
+    nothing, in one form: the carry is added into ``wide`` and the sum
+    shifted into ``out``.  ``carry`` is scratch of wide's width; ``out`` is
+    ``carry`` itself or an integer array that overlaps neither, possibly
+    narrower, such as an int32 plane, which keeps the low bits of each result.
     """
     # adding half minus one, plus one more when the kept part is odd, carries
     # into the kept bits exactly when round_q60 rounds up
     np.right_shift(wide, FRAC_BITS, out=carry)
     carry &= 1
     carry += _HALF - 1
-    if out is carry:
-        np.add(wide, carry, out=out)
-        out >>= FRAC_BITS
-        return out
     np.add(wide, carry, out=wide)
     return np.right_shift(wide, FRAC_BITS, out=out, casting="unsafe")
-
-
-def saturate_array(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Clamp wide words to [RAW_MIN, RAW_MAX]: ``raw`` is clamped in place on
-    the way and ``out`` (``raw`` itself, or a narrower integer array such as
-    an int32 plane) receives the result.
-    """
-    # two ufuncs, not np.clip, whose Python wrapper costs more than both
-    high = np.minimum(raw, RAW_MAX, out=raw)
-    return np.maximum(high, RAW_MIN, out=out, casting="unsafe")

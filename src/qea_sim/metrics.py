@@ -4,7 +4,9 @@ Fidelity is normalized by both input norms, so fixed-point norm drift
 shows up in the separate norm-error field instead of silently deflating
 the overlap.  Both are sums over the float64 (re, im) planes taken by
 einsum, in this thread and with no BLAS call.  MSE is the mean squared
-modulus of amplitude differences after aligning the tracked global phase.
+modulus of amplitude differences after aligning a given global phase;
+every caller passes 0, since a circuit's fixed and float runs share its
+phase.
 """
 from __future__ import annotations
 
@@ -86,9 +88,11 @@ class Comparison:
 def compare_runs(tc, workers: int = 1, repeats: int = 1) -> Comparison:
     """Run tc `repeats` times in fixed point and once in float; the wall time
     is the median of the fixed runs' own, and the metrics compare the last
-    fixed state with the float one."""
+    fixed state with the float one.  A count below 1 is a ValueError."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     times = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         fixed, stats = run_circuit(tc, StateVector.zero(tc.n, FIXED), workers)
         times.append(stats.wall_time_s)
     ref, _ = run_circuit(tc, StateVector.zero(tc.n, FLOAT), workers)

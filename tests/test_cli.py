@@ -375,6 +375,21 @@ class TestExitCodes:
         assert err == "error: replace refused\n" and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("name,data,message", [
+        ("bad.qc", b"qubits 1\n\xffh 0\n", "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+        ("bad.json", b'{"n": 2, "gates": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
+        ("bad.json", b'{"n": 2, "gates": [}', "Expecting value: line 1 column 20 (char 19)"),
+    ], ids=["text-not-utf8", "json-not-utf8", "not-json"])
+    def test_unreadable_circuit_file(self, tmp_path, capsys, command, name, data, message):
+        # raw bytes that are not UTF-8 text, or not JSON, are a parse error like any other
+        p = tmp_path / name
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == 2
+        assert err == f"error: {message}\n" and "Traceback" not in err
+        assert out == ""
+
     def test_deeply_nested_json_circuit(self, tmp_path, capsys):
         # json.dumps cannot build it; json.loads would raise RecursionError
         p = tmp_path / "deep.json"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qea_sim import fixedpoint as fx
+from qea_sim import engine, fixedpoint as fx
 from qea_sim.circuit import DENSE, SPARSE
 from qea_sim.engine import FIXED, GateApplication, StateVector, apply_1q
 
@@ -230,6 +230,21 @@ class TestArrayHelpers:
         narrow, carry = np.empty(fits.size, np.int32), np.empty_like(fits)
         assert fx.round_q60_array(fits.copy(), narrow, carry) is narrow
         assert narrow.tolist() == got[small].tolist()
+        # the saturating kernel's product step into int32, as two terms, over
+        # the whole sample and as many words up to 2^62, half of which round
+        # past 32 bits, with the ties at both bounds and their neighbours
+        edges = np.array([fx.RAW_MAX, fx.RAW_MIN - 1]) * 2**30 + 2**29
+        wide = np.concatenate([wide, rng.integers(-(2**62), 2**62, size=6000), edges - 1, edges, edges + 1])
+        b = rng.integers(-(2**61), 2**61, size=wide.size, dtype=np.int64)
+        out = np.empty(wide.size, np.int32)
+        assert engine._fixed_product(wide - b, b, out) is out
+        assert out.tolist() == [fx.saturate(fx.round_q60(w)) for w in wide.tolist()]
+        # and its sum step, on pairs that sum past both bounds
+        x = np.concatenate([rng.integers(-(2**32), 2**32, size=2000), [fx.RAW_MAX, fx.RAW_MIN, fx.RAW_MAX, 0]])
+        y = np.concatenate([rng.integers(-(2**32), 2**32, size=2000), [1, -1, fx.RAW_MIN, fx.RAW_MIN]])
+        out = np.empty(x.size, np.int32)
+        assert engine._fixed_sum(x.copy(), y, out) is out
+        assert out.tolist() == [fx.saturate(s + t) for s, t in zip(x.tolist(), y.tolist())]
 
     def test_cmul_arrays_matches_scalar(self):
         # the array complex product lives in apply_1q's kernel: a diagonal

@@ -8,7 +8,8 @@ import oracles
 from qea_sim import pe_model
 from qea_sim.engine import FIXED, StateVector
 from qea_sim.generators import generate_qft, generate_template
-from qea_sim.metrics import (bench_circuit, fidelity, mse, ngs, norm_error,
+from qea_sim.circuit import transpile
+from qea_sim.metrics import (bench_circuit, compare_runs, fidelity, mse, ngs, norm_error,
                              reports_to_jsonl, run_benchmark)
 
 
@@ -160,6 +161,14 @@ class TestBench:
         for rep in reports:
             assert rep.fidelity >= 0.999999
             assert rep.mse <= 1e-10
+
+    @pytest.mark.parametrize("call,count", [
+        (lambda: compare_runs(transpile(generate_qft(3)), repeats=0), 0),
+        (lambda: bench_circuit("q", generate_qft(3), repeats=-2), -2),
+    ], ids=["compare_runs", "bench_circuit"])
+    def test_repeats_below_one_refused(self, call, count):
+        with pytest.raises(ValueError, match=f"^repeats must be at least 1, got {count}$"):
+            call()
 
     def test_empty_suite(self):
         assert run_benchmark([]) == []
