@@ -39,7 +39,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -222,37 +221,32 @@ def make_application(gate: Gate, arith: str) -> GateApplication:
 # slower on fixed sparse ones.
 _TILE = 1 << 13
 
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
+# At most this many parts per step, and threads in the one pool: 32, the cap
+# concurrent.futures puts on its default pool size.  It bounds a plan's
+# buffer rows, one per part, and the threads, whatever the worker count.  A
+# constant, not the CPU count, so a worker count cuts a step the same way on
+# every host.
+_MAX_PARTS = 32
+# the one pool of the process; it starts no thread until a step runs on more than one part
+_pool = ThreadPoolExecutor(max_workers=_MAX_PARTS, thread_name_prefix="qea-sim")
 
 
 def _split(total: int, workers: int) -> list[range]:
-    """range(total) cut into at most `workers` contiguous parts."""
-    step = -(-total // max(1, min(workers, total)))
+    """range(total) cut into at most min(workers, _MAX_PARTS) contiguous parts."""
+    step = -(-total // min(workers, total, _MAX_PARTS))
     if step == total:   # one part, the common case, without a comprehension's cost
         return [range(total)]
     return [range(i, min(i + step, total)) for i in range(0, total, step)]
 
 
 def _run_parts(fn, parts: list[range], *args) -> None:
-    """Run fn(*args, i, parts[i]) for every part i.
-
-    One part runs inline.  More run on one thread pool shared by all runs,
-    created on first use and replaced by a larger one when more parts are
-    asked for; a replaced pool's threads exit once it is unreferenced.
-    """
-    global _pool, _pool_size
+    """Run fn(*args, i, parts[i]) for every part i: one part inline, more
+    on the pool shared by all runs."""
     if len(parts) == 1:
         fn(*args, 0, parts[0])
         return
-    with _pool_lock:
-        if _pool_size < len(parts):
-            _pool = ThreadPoolExecutor(max_workers=len(parts), thread_name_prefix="qea-sim")
-            _pool_size = len(parts)
-        pool = _pool
     # reading every result re-raises a part's error
-    for _ in pool.map(partial(fn, *args), range(len(parts)), parts):
+    for _ in _pool.map(partial(fn, *args), range(len(parts)), parts):
         pass
 
 
@@ -706,7 +700,10 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     the same plan in place, every qubit active from the start.  Either way
     CX is deferred as an index map (_track); what is left of it at the end
     is materialized by the write-back or by the in-place plan's last step.
+    A worker count that is a bool, not an integer or below 1 is a ValueError.
     """
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     arith = _ARITH[state.arith]
     clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
     values = _classical(state.planes) if arith.zero_absorbing else {}

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pe_model
 from .circuit import COMPOSITE, CX, DENSE, SPARSE, Circuit, classify, transpile
-from .engine import FIXED, FLOAT, RunStats, StateVector, run_circuit
+from .engine import FIXED, FLOAT, RunStats, StateVector, reference_run, run_circuit
 
 
 def _planes(state) -> np.ndarray:
@@ -86,16 +86,17 @@ class Comparison:
 
 
 def compare_runs(tc, workers: int = 1, repeats: int = 1) -> Comparison:
-    """Run tc `repeats` times in fixed point and once in float; the wall time
-    is the median of the fixed runs' own, and the metrics compare the last
-    fixed state with the float one.  A count below 1 is a ValueError."""
+    """Run tc `repeats` times in fixed point and once as the float reference
+    (engine.reference_run); the wall time is the median of the fixed runs'
+    own, and the metrics compare the last fixed state with the reference.
+    A count below 1 is a ValueError."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     times = []
     for _ in range(repeats):
         fixed, stats = run_circuit(tc, StateVector.zero(tc.n, FIXED), workers)
         times.append(stats.wall_time_s)
-    ref, _ = run_circuit(tc, StateVector.zero(tc.n, FLOAT), workers)
+    ref = reference_run(tc, StateVector.zero(tc.n, FLOAT), workers)
     return Comparison(stats, float(np.median(times)), fidelity(fixed, ref), mse(fixed, ref), norm_error(fixed))
 
 

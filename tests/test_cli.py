@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qea_sim import cli, engine, metrics, pe_model
-from qea_sim.circuit import transpile
+from qea_sim.circuit import GateKind, circuit_to_dict, transpile
 from qea_sim.cli import main, parse_generate_spec
 from qea_sim.engine import parse_dump
-from qea_sim.generators import generate_qft
+from qea_sim.generators import TOPOLOGIES, generate_qft
+from test_circuit import _any_circuits, _circuit_text
 
 
 def run_cli(capsys, *argv):
@@ -397,6 +400,96 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "run", str(p))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Oversized qubit counts, refused before any state or gate is built: by
+# check_fits (run, compare) and check_figures (estimate, from 1024 on); as a
+# layer count, by check_gates.  Every accepted count is small.
+_COUNTS = st.one_of(st.integers(-2, 10), st.sampled_from([10**12, 10**30]))
+# text without decimal digits (category Nd, which int() reads) or lone
+# surrogates: it never makes a count, and a file can hold it
+_JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
+_NUMERALS = st.sampled_from(["1.5", " 3", "+3", "0x3", "1e3", "1_0", "\u0663", "", "-0"])
+_ANGLES = st.sampled_from(["0.5", "-0.0", "1e308", "1e309", "nan", "inf", "pi", "0x1p-3"])
+_KINDS = st.sampled_from([kind.value for kind in GateKind] + ["H", "t", "qubits", "#"])
+_LINES = st.one_of(
+    _COUNTS.map("qubits {}".format),
+    st.tuples(_KINDS, st.lists(_ANGLES, max_size=1), st.lists(st.integers(-1, 10).map(str), max_size=3)).map(
+        lambda t: " ".join([t[0], *t[1], *t[2]])),
+    st.lists(st.one_of(_KINDS, _ANGLES, _COUNTS.map(str), _NUMERALS, _JUNK), max_size=4).map(" ".join))
+_JSON_VALUES = st.one_of(_COUNTS, _KINDS, _JUNK, st.none(), st.booleans(), st.floats(),
+                         st.lists(st.integers(-1, 10), max_size=3))
+_JSON_ITEMS = st.tuples(st.sampled_from(["n", "gates", "global_phase", "kind", "qubits", "angle"]), _JSON_VALUES)
+_FIELDS = st.one_of(_COUNTS.map(str), _NUMERALS, _JUNK)
+_COMMANDS = st.sampled_from([["run"], ["run", "--arith=float"], ["compare"], ["estimate", "--qubits=3"]])
+
+
+@st.composite
+def _mutated(draw, items, replacements):
+    """items with up to two of them replaced by a draw from replacements,
+    dropped, or one appended."""
+    items = list(items)
+    for _ in range(draw(st.integers(0, 2))):
+        k, new = draw(st.integers(0, len(items))), draw(st.one_of(st.none(), replacements))
+        items[k:k + 1] = [] if new is None else [new]
+    return items
+
+
+@st.composite
+def _specs(draw):
+    """A generator spec, qft:<n> or template:<topology>:<n>:<layers>:<seed>
+    on up to 10 qubits, with up to two fields mutated."""
+    n = draw(st.integers(1, 10))
+    fields = (["qft", str(n)] if draw(st.booleans()) else
+              ["template", draw(st.sampled_from(TOPOLOGIES)), str(n), str(draw(st.integers(1, 3))),
+               str(draw(st.integers(0, 9)))])
+    return ":".join(draw(_mutated(fields, _FIELDS)))
+
+
+class TestFuzz:
+    """run, compare and estimate on mutated circuit files, generator specs
+    and qubit ranges: every outcome is a clean exit code, and every failure
+    an `error: ` line on stderr, never a traceback."""
+
+    @staticmethod
+    def _check_outcome(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in out + err
+
+    fuzz = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @fuzz
+    @given(command=_COMMANDS, c=_any_circuits(), data=st.data())
+    def test_text_circuit_files(self, tmp_path, capsys, command, c, data):
+        lines = data.draw(_mutated(_circuit_text(c).splitlines(), _LINES))
+        (tmp_path / "c.qc").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self._check_outcome(capsys, *command, str(tmp_path / "c.qc"))
+
+    @fuzz
+    @given(command=_COMMANDS, c=_any_circuits(), transpiled=st.booleans(), data=st.data())
+    def test_json_circuit_files(self, tmp_path, capsys, command, c, transpiled, data):
+        doc = circuit_to_dict(transpile(c) if transpiled else c)
+        gates, k = doc["gates"], data.draw(st.integers(0, len(doc["gates"])))   # one gate mutated, or none
+        gates[k:k + 1] = [dict(data.draw(_mutated(g.items(), _JSON_ITEMS))) for g in gates[k:k + 1]]
+        text = json.dumps(dict(data.draw(_mutated(doc.items(), _JSON_ITEMS))))
+        cut = data.draw(st.sampled_from([1, 1, 1, 2]))   # a quarter of the files are cut in half
+        (tmp_path / "c.json").write_text(text[:len(text) // cut], encoding="utf-8")
+        self._check_outcome(capsys, *command, str(tmp_path / "c.json"))
+
+    @fuzz
+    @given(command=_COMMANDS, spec=_specs())
+    def test_generator_specs(self, capsys, command, spec):
+        self._check_outcome(capsys, *command, f"--generate={spec}")
+
+    @fuzz
+    @given(bounds=st.lists(_COUNTS.map(str), min_size=1, max_size=2), data=st.data(),
+           source=st.one_of(st.just(()), st.integers(1, 10).map(lambda n: (f"--generate=qft:{n}",))))
+    def test_qubit_ranges(self, capsys, bounds, data, source):
+        qubits = "..".join(data.draw(_mutated(bounds, _FIELDS)))
+        self._check_outcome(capsys, "estimate", f"--qubits={qubits}", *source)
 
 
 # sha256 of `qea-sim run` dumps, recorded before the prepared run plan;

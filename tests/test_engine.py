@@ -64,7 +64,9 @@ class TestRefusals:
         (lambda: StateVector.from_complex(np.ones(3)), "length 3 is not a power of two"),
         (lambda: GateApplication((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), 0, "cx"), "unknown mode 'cx'"),
         (lambda: make_application(Gate(GateKind.CX, (0, 1)), FIXED), "CX is handled by the swapper, not as a matrix"),
-    ], ids=["arith", "length", "mode", "cx-application"])
+        *[(lambda w=w: run_circuit(transpile(generate_qft(3)), StateVector.zero(3), w),
+           f"workers must be a positive integer, got {w!r}") for w in (0, -1, True, 2.5, "2")],
+    ], ids=["arith", "length", "mode", "cx-application", *(f"workers-{w}" for w in ("0", "-1", "True", "2.5", "str"))])
     def test_messages(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
@@ -910,6 +912,11 @@ class TestWorkers:
                 assert dump == base
         assert hashlib.sha256(base.encode()).hexdigest() == QFT6_DUMP_SHA256[arith]
 
+    @pytest.mark.parametrize("arith", [FLOAT, FIXED])
+    def test_numpy_integer_worker_count(self, arith):
+        sv, _ = run_circuit(transpile(generate_qft(6)), StateVector.zero(6, arith), np.int64(2))
+        assert hashlib.sha256(format_dump(sv).encode()).hexdigest() == QFT6_DUMP_SHA256[arith]
+
 
 class TestWorkersSmallTiles(TestWorkers):
     """TestWorkers with 4-pair tiles: QFT(6) has 8 tiles, one shard per worker."""
@@ -919,8 +926,8 @@ class TestWorkersSmallTiles(TestWorkers):
         monkeypatch.setattr(engine, "_TILE", 4)
 
     def test_concurrent_callers_share_one_pool(self):
-        # callers on several threads shard their gates over the shared pool,
-        # which is replaced by a larger one while the others still use it
+        # callers on several threads shard their gates over the one pool at
+        # the same time
         tc = transpile(generate_qft(6))
         counts = (2, 3, 5, 8)
         digests = {}
@@ -945,6 +952,26 @@ class TestWorkersSmallTiles(TestWorkers):
         pool = engine._pool
         run_circuit(tc, StateVector.zero(6, FIXED), 2)
         assert engine._pool is pool   # one pool across gates and runs, not one per gate
+
+
+class TestPartCeiling:
+    """No step is cut into more than _MAX_PARTS parts, whatever the worker count."""
+
+    def test_split_caps_the_parts(self):
+        parts = engine._split(10**6, 10**6)
+        assert len(parts) == engine._MAX_PARTS
+        assert (parts[0].start, parts[-1].stop) == (0, 10**6)
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+
+    def test_prepare_builds_at_most_max_parts_rows(self):
+        # a dense step on an n=20 fixed state has 64 tiles; _prepare starts no thread
+        planes = StateVector.zero(20, FIXED).planes
+        words = engine._words(gate_matrix(Gate(GateKind.H, (0,))), FIXED)
+        row = engine._TILE * (16 + 4) * 8   # a part's int64 products, scratch and widened tile
+        plan, peak = _traced_peak(lambda: engine._prepare(planes, engine._ARITH[FIXED], [(DENSE, (0,), 20, 0)],
+                                                          words, 10**6))
+        assert len(plan[0][1]) == engine._MAX_PARTS
+        assert peak < (engine._MAX_PARTS + 1) * row   # a row of room for the operands and views
 
 
 # A 2-qubit fixed dump, header first, edited per case of TestDumpFormat's

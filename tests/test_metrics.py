@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from qea_sim import pe_model
-from qea_sim.engine import FIXED, StateVector
+from qea_sim import metrics, pe_model
+from qea_sim.engine import FIXED, FLOAT, StateVector, run_circuit
 from qea_sim.generators import generate_qft, generate_template
 from qea_sim.circuit import transpile
 from qea_sim.metrics import (bench_circuit, compare_runs, fidelity, mse, ngs, norm_error,
@@ -169,6 +169,16 @@ class TestBench:
     def test_repeats_below_one_refused(self, call, count):
         with pytest.raises(ValueError, match=f"^repeats must be at least 1, got {count}$"):
             call()
+
+    def test_reference_is_reference_run(self):
+        # a zero state's values copy exactly: the same bits as a float run_circuit
+        tc = transpile(generate_qft(5))
+        with mock.patch.object(metrics, "reference_run", wraps=metrics.reference_run) as reference:
+            cmp = compare_runs(tc, repeats=2)
+        assert reference.call_count == 1
+        fixed, _ = run_circuit(tc, StateVector.zero(5, FIXED))
+        ref, _ = run_circuit(tc, StateVector.zero(5, FLOAT))
+        assert (cmp.fidelity, cmp.mse) == (fidelity(fixed, ref), mse(fixed, ref))
 
     def test_empty_suite(self):
         assert run_benchmark([]) == []
