@@ -1,6 +1,13 @@
 """Fixed-point state-vector simulator and performance model for a
 quantum emulation accelerator (4 PEs, Q2.30 arithmetic)."""
 
+import os
+
+# The package makes no BLAS call, yet numpy's import starts OpenBLAS's
+# threads, one per CPU by default.  Ask for one before numpy's first
+# import; a count the process set itself wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .circuit import (Circuit, CircuitParseError, Gate, GateKind,
                       TranspiledCircuit, classify, gate_matrix,
                       parse_circuit, transpile)

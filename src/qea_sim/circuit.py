@@ -210,9 +210,19 @@ def transpile(c: Circuit | TranspiledCircuit) -> TranspiledCircuit:
 _KINDS = {k.value: k for k in GateKind}
 
 
+def parse_int(text: str) -> int:
+    """int(text) for a plain ASCII numeral, digits behind an optional "-",
+    the rule of every integer the text format and the CLI read; other
+    digits, a "+", underscores and spaces, which int() takes, are a
+    ValueError with int()'s own message."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_qubit(tok: str, n: int, lineno: int, col: int) -> int:
     try:
-        q = int(tok)
+        q = parse_int(tok)
     except ValueError:
         raise CircuitParseError(f"expected qubit index, got {tok!r}", lineno, col) from None
     if not 0 <= q < n:
@@ -251,7 +261,7 @@ def parse_circuit(text: str) -> Circuit:
             if len(toks) != 2:
                 raise CircuitParseError("'qubits' takes exactly one count", lineno, cols[0])
             try:
-                n = int(toks[1])
+                n = parse_int(toks[1])
             except ValueError:
                 raise CircuitParseError(f"invalid qubit count {toks[1]!r}", lineno, cols[1]) from None
             if n < 1:

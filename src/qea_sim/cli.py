@@ -22,7 +22,7 @@ from pathlib import Path
 from . import metrics, pe_model
 from .circuit import (Circuit, CircuitParseError, TranspiledCircuit,
                       circuit_from_dict, circuit_to_dict, parse_circuit,
-                      transpile)
+                      parse_int, transpile)
 from .engine import FIXED, FLOAT, StateVector, check_fits, format_dump, max_workers, run_circuit
 from .generators import TOPOLOGIES, generate_qft, generate_template
 
@@ -46,15 +46,15 @@ def _generator(spec: str):
     if name == "qft":
         if len(parts) != 2:
             raise ValueError(f"qft spec is qft:<n>, got {spec!r}")
-        n = int(parts[1])
+        n = parse_int(parts[1])
         return f"qft:{n}", n, lambda: generate_qft(n)
     if name == "template":
         if not 3 <= len(parts) <= 5:
             raise ValueError(f"template spec is template:<topology>:<n>[:<layers>[:<seed>]], got {spec!r}")
         topology = parts[1]
-        n = int(parts[2])
-        layers = int(parts[3]) if len(parts) > 3 else 1
-        seed = int(parts[4]) if len(parts) > 4 else 0
+        n = parse_int(parts[2])
+        layers = parse_int(parts[3]) if len(parts) > 3 else 1
+        seed = parse_int(parts[4]) if len(parts) > 4 else 0
         return (f"template:{topology}:{n}:{layers}:{seed}", n,
                 lambda: generate_template(topology, n, layers, seed))
     raise ValueError(f"unknown generator {name!r} (expected qft or template)")
@@ -100,11 +100,11 @@ def _parse_qubit_range(text: str, check) -> range:
     """check(hi) refuses the range before any of it is built."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = parse_int(lo_s), parse_int(hi_s)
         if hi < lo:
             raise ValueError(f"empty qubit range {text!r}")
     else:
-        lo = hi = int(text)
+        lo = hi = parse_int(text)
     check(hi)
     return range(lo, hi + 1)
 

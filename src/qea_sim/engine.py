@@ -27,10 +27,14 @@ qubits, those on which every nonzero amplitude agrees (_track), and
 sweeps only a compact state of the others' amplitudes, with the same bits
 as a full sweep, by proof rather than by tolerance; an activated qubit
 becomes the compact state's top stored bit, so activation moves no data.
-Float runs sweep every amplitude: IEEE products of zeros keep a sign,
-which the dump prints.  RunStats.swept_amps counts what a run swept and
-cx_passes the passes that moved words for CX; the device model
-(pe_model) still sweeps every amplitude of every gate.
+A float run_circuit sweeps every amplitude: IEEE products of zeros keep a
+sign, which the dump prints.  reference_run, whose state is read for its
+values only, tracks classical qubits like a fixed run: its values equal
+the float run_circuit's for finite input, and only the signs of its zero
+words are unspecified (the proof follows _saturation_bound).
+RunStats.swept_amps counts what a run swept and cx_passes the passes that
+moved words for CX; the device model (pe_model) still sweeps every
+amplitude of every gate.
 """
 from __future__ import annotations
 
@@ -98,13 +102,11 @@ class _Arith:
     wide: type                  # kernel intermediate
     narrow_product: Callable    # (a, b, out): out = narrowed a + b, the two terms of a product
     narrow_sum: Callable        # (a, b, out): out = narrowed a + b, two narrowed products
-    zero_absorbing: bool        # every product with a zero word is the same zero: runs skip them (_execute)
 
 
-# float is not zero-absorbing: IEEE products of zeros keep a sign, which the dump prints
 _ARITH = {
-    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum, True),
-    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, np.add, False),
+    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum),
+    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, np.add),
 }
 # the fixed steps of a run that _clamp_free proves cannot saturate: same bits
 _CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_sum=partial(np.add, casting="unsafe"))
@@ -454,6 +456,27 @@ def _saturation_bound(norm: float, gates: int, words: int, growth: float = 1.0) 
     return growth * (norm * (1.0 + 2.0 ** -20) + spread)
 
 
+# Why a tracked float run (reference_run) has the values of the in-place
+# float run_circuit.  IEEE-754 addition and multiplication round the exact
+# result of their operands' values, and +0 and -0 have the same value, so
+# on words equal in value they give results equal in value; only the sign
+# of a zero result can differ.  By induction over the gates, every word
+# the tracked run keeps equals the full run's in value, and every word it
+# leaves out (where a classical qubit is not at its value) is ±0 in the
+# full run.  CX permutes words in both.  A one-qubit step computes, for
+# every amplitude that can be nonzero, the full run's products of the same
+# gate words and adds them in the same way, at most with a sum's two terms
+# swapped (b_q = 1), which IEEE addition allows.  The terms it drops have
+# a zero factor, a left-out word or a zero gate entry (a scale step's
+# other row, its picked form's zeros); with the other factor finite such
+# a term is ±0, and x + (±0) = x in value.  So values are equal and
+# nonzero words bit-identical, and fidelity, mse and norm_error, which
+# square or subtract the words first, give the same bits.  The proof needs
+# finite words, as 0 * inf is NaN: reference_run refuses non-finite input,
+# and a run that overflows to inf, from amplitudes near the float64
+# maximum, is outside it.
+
+
 def _clamp_free(planes: np.ndarray, words: np.ndarray) -> bool:
     """Whether a fixed run of the gates of these words on these raw state
     words provably never saturates (_saturation_bound); one without
@@ -682,23 +705,24 @@ def _frame_view(planes: np.ndarray, values: dict) -> np.ndarray:
 
 
 def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
-             workers: int) -> tuple[bool, int, int]:
+             workers: int, track: bool) -> tuple[bool, int, int]:
     """Run the gates on the state in place; returns the run's clamp_free,
     the amplitudes its steps swept and its CX passes (quarter swaps and
     gathers).
 
     Clamp-freedom is one decision per run (_clamp_free), from the full
     state and every word: a clamp-free run's plan takes the _CLAMP_FREE
-    steps.  In a zero-absorbing arithmetic the run tracks classical qubits
-    (_classical, _track): it copies the amplitudes that can be nonzero
-    into the first words of compact planes sized for the run's last axis
-    count, the rest zero, runs one _prepare plan on them, each step on the
-    axes active at its gate, and writes them back into the full planes at
-    the classical values, zeroing the rest, by one copy when the
-    activation order is qubit order and nothing else moved, else by one
-    gather.  A state without classical qubits, and every float run, runs
-    the same plan in place, every qubit active from the start.  Either way
-    CX is deferred as an index map (_track); what is left of it at the end
+    steps.  A run with `track` set tracks classical qubits (_classical,
+    _track), with a full sweep's bits in fixed point and its values in
+    float (the proof after _saturation_bound): it copies the amplitudes
+    that can be nonzero into the first words of compact planes sized for
+    the run's last axis count, the rest zero, runs one _prepare plan on
+    them, each step on the axes active at its gate, and writes them back
+    into the full planes at the classical values, zeroing the rest, by one
+    copy when the activation order is qubit order and nothing else moved,
+    else by one gather.  A state without classical qubits, and a run
+    without `track`, runs the same plan in place, every qubit active from
+    the start.  Either way CX is deferred as an index map (_track); what is left of it at the end
     is materialized by the write-back or by the in-place plan's last step.
     A worker count that is a bool, not an integer or below 1 is a ValueError.
     """
@@ -706,7 +730,7 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     arith = _ARITH[state.arith]
     clamp_free = state.arith == FIXED and _clamp_free(state.planes, words)
-    values = _classical(state.planes) if arith.zero_absorbing else {}
+    values = _classical(state.planes) if track else {}
     steps, end, back = _track(state.n, classes, qubits, words, values)
     planes = state.planes
     if values:
@@ -745,7 +769,8 @@ def apply_1q(state: StateVector, app: GateApplication, workers: int = 1) -> Stat
         raw = all(isinstance(v, (int, np.integer)) and fx.RAW_MIN <= v <= fx.RAW_MAX for u in entries for v in u)
         if not raw or max(int(re) ** 2 + int(im) ** 2 for re, im in entries) > 1 << 62:
             raise ValueError(f"fixed-point gate entries must be raw Q2.30 words of modulus at most 2, got {entries}")
-    _execute(state, [app.mode], [(app.target,)], np.array(entries, _ARITH[state.arith].wide), workers)
+    _execute(state, [app.mode], [(app.target,)], np.array(entries, _ARITH[state.arith].wide), workers,
+             state.arith == FIXED)
     return state
 
 
@@ -757,7 +782,7 @@ def apply_cx(state: StateVector, control: int, target: int, workers: int = 1) ->
             raise ValueError(f"qubit {q} out of range for n={state.n}")
     if control == target:
         raise ValueError("control and target must differ")
-    _execute(state, [CX], [(control, target)], np.empty(0, state.planes.dtype), workers)
+    _execute(state, [CX], [(control, target)], np.empty(0, state.planes.dtype), workers, state.arith == FIXED)
     return state
 
 
@@ -781,7 +806,14 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
 
     The run quantizes each distinct gate once and prepares its plan against
     the state, then executes it; the counts come from the circuit's classes.
+    A fixed run tracks classical qubits; a float run sweeps every amplitude,
+    so its dump's zero signs are those of the full sweep.
     """
+    return _run(tc, state, workers, state.arith == FIXED)
+
+
+def _run(tc: TranspiledCircuit, state: StateVector, workers: int, track: bool):
+    """run_circuit, tracking classical qubits where `track` says (_execute)."""
     if tc.n != state.n:
         raise ValueError(f"circuit has {tc.n} qubits, state has {state.n}")
     t0 = time.perf_counter()
@@ -792,7 +824,7 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
     rows = {key: i for i, key in enumerate(distinct)}
     entries = np.array([gate_entries(g) for g in distinct.values()], np.complex128).reshape(-1, 2, 2)
     words = _words(entries, state.arith)[list(map(rows.get, keys))]
-    clamp_free, swept, passes = _execute(state, tc.classes, [g.qubits for g in tc.gates], words, workers)
+    clamp_free, swept, passes = _execute(state, tc.classes, [g.qubits for g in tc.gates], words, workers, track)
     counts = tc.classes.count(SPARSE), tc.classes.count(DENSE), tc.classes.count(CX)
     return state, RunStats(*counts, time.perf_counter() - t0, clamp_free, swept, passes)
 
@@ -800,12 +832,19 @@ def run_circuit(tc: TranspiledCircuit, state: StateVector, workers: int = 1):
 def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -> StateVector:
     """Double-precision run used as the accuracy reference.
 
-    Same contract as run_circuit; the input state's values are copied into
-    float planes (exact for both variants), never mutated.
+    The input state's values are copied into float planes in one step
+    (exact for both variants), never mutated; input holding a non-finite
+    value is a ValueError.  The run tracks classical qubits as a fixed run
+    does, so its values equal those of a float run_circuit on the same
+    input, nonzero words bit for bit, and the signs of its zero words are
+    unspecified (the proof follows _saturation_bound); fidelity, mse and
+    norm_error against it are the same bits.
     """
+    if not np.isfinite(state.planes).all():
+        raise ValueError("reference_run needs finite amplitudes")
     out = StateVector(state.n, FLOAT)
-    out.planes[:] = state._values()
-    return run_circuit(tc, out, workers)[0]
+    np.divide(state.planes, _ARITH[state.arith].one, out=out.planes)
+    return _run(tc, out, workers, True)[0]
 
 
 # ---------------------------------------------------------------------------

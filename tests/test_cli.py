@@ -492,6 +492,45 @@ class TestFuzz:
         self._check_outcome(capsys, "estimate", f"--qubits={qubits}", *source)
 
 
+class TestAsciiIntegers:
+    """Every integer of a generator spec, a qubit range or a text circuit
+    is a plain ASCII numeral, digits behind an optional "-": other digits,
+    underscores, a "+" and spaces, which int() reads, are refused."""
+
+    @pytest.mark.parametrize("numeral", ["1_0", "+3", " 3", "3 ", "\u0663"])
+    @pytest.mark.parametrize("argv", [
+        ("--qubits=4", "--generate=qft:{}"),
+        ("--qubits=4", "--generate=template:chain:{}"),
+        ("--qubits=4", "--generate=template:chain:4:{}"),
+        ("--qubits=4", "--generate=template:chain:4:1:{}"),
+        ("--qubits={}",),
+        ("--qubits=3..{}",),
+    ], ids=["qft-n", "template-n", "template-layers", "template-seed", "qubits", "qubit-range"])
+    def test_cli_numerals_refused(self, capsys, argv, numeral):
+        code, out, err = run_cli(capsys, "estimate", *(a.format(numeral) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid literal for int() with base 10: {numeral!r}\n"
+
+    @pytest.mark.parametrize("numeral", ["1_0", "+3", "\u0663"])
+    @pytest.mark.parametrize("text,message", [
+        ("qubits {}\nh 0\n", "line 1, col 8: invalid qubit count {!r}"),
+        ("qubits 4\nh {}\n", "line 2, col 3: expected qubit index, got {!r}"),
+    ], ids=["header", "qubit"])
+    def test_circuit_file_numerals_refused(self, tmp_path, capsys, text, message, numeral):
+        (tmp_path / "c.qc").write_text(text.format(numeral), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(tmp_path / "c.qc"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(numeral)}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--qubits=4", "--generate=qft:-3"), "n must be >= 1"),
+        (("--qubits=-2..3",), "n must be >= 1"),
+    ], ids=["qft-n", "qubit-range"])
+    def test_negative_numerals_keep_their_messages(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "estimate", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # sha256 of `qea-sim run` dumps, recorded before the prepared run plan;
 # every worker count must give the same bytes
 RUN_DUMP_SHA256 = {

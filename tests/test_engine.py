@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import apply_1q_flagloop
-from qea_sim import engine
+from qea_sim import engine, metrics
 from qea_sim import fixedpoint as fx
 from qea_sim.circuit import DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, gate_matrix, transpile
 from qea_sim.engine import (FIXED, FLOAT, GateApplication, StateVector,
@@ -870,12 +870,69 @@ class TestRunCircuit:
             run_circuit(transpile(Circuit(3, ())), StateVector.zero(2))
 
 
+def _same_values(ref, full) -> None:
+    """ref has full's values, nonzero words bit for bit: only the signs of
+    zero words may differ."""
+    assert np.array_equal(ref.planes, full.planes)
+    nonzero = full.planes != 0
+    assert ref.planes[nonzero].tobytes() == full.planes[nonzero].tobytes()
+
+
+def _metric(f, a, b):
+    """f(a, b), or its ValueError's message: a zero-norm state has no fidelity."""
+    try:
+        return f(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestReferenceRun:
-    def test_bit_for_bit_with_float_run(self):
+    def test_values_equal_float_run(self):
+        # the reference tracks classical qubits, the float run_circuit sweeps in place
         tc = transpile(generate_qft(5))
         ref = reference_run(tc, StateVector.zero(5, FIXED))
         direct, _ = run_circuit(tc, StateVector.zero(5, FLOAT))
-        np.testing.assert_array_equal(ref.to_complex(), direct.to_complex())
+        _same_values(ref, direct)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), arith=st.sampled_from([FIXED, FLOAT]),
+           kind=st.sampled_from(["basis", "block", "sparse"]),
+           tile=st.sampled_from([1, 2, 4, engine._TILE]), workers=st.sampled_from([1, 2, 3]))
+    def test_values_match_float_run_property(self, data, n, arith, kind, tile, workers):
+        # basis and block inputs as in test_sparse_inputs_match_gate_by_gate;
+        # sparse ones hold words anywhere, about half of them zeros.  The
+        # reference has the values of the in-place float run, nonzero words
+        # bit for bit, and the fixed run's fidelity and mse against it are
+        # the same bits
+        tc = data.draw(_circuits(n) if n == 1 else st.one_of(_circuits(n), _cx_circuits(n)))
+        size = 1 << n
+        mask = {"basis": size - 1, "block": data.draw(st.integers(0, size - 1)), "sparse": 0}[kind]
+        block = np.flatnonzero((np.arange(size) ^ data.draw(st.integers(0, size - 1))) & mask == 0)
+        values = st.integers(-fx.RAW_ONE // 8, fx.RAW_ONE // 8) if arith == FIXED else _VALUES
+        if kind == "sparse":   # about half zeros, more signed zeros among the rest in float
+            values = st.one_of(st.just(0), values)
+        words = data.draw(st.lists(values, min_size=2 * block.size, max_size=2 * block.size))
+        src = StateVector(n, arith)
+        src.planes[:, block] = np.reshape(words, (2, block.size))
+        full, fixed = StateVector(n, FLOAT), StateVector(n, FIXED)
+        full.planes[:] = src._values()
+        fixed.planes[:] = src.planes if arith == FIXED else fx.to_fixed_array(src.planes)
+        with mock.patch.object(engine, "_TILE", tile):
+            ref = reference_run(tc, src, workers)
+            run_circuit(tc, full, workers)
+            run_circuit(tc, fixed, workers)
+        _same_values(ref, full)
+        for f in (metrics.fidelity, metrics.mse):
+            assert repr(_metric(f, fixed, ref)) == repr(_metric(f, fixed, full))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("plane", [0, 1])
+    def test_non_finite_input_refused(self, value, plane):
+        # 0 * inf is NaN where the tracked run keeps 0, so the values would differ
+        src = StateVector.zero(3)
+        src.planes[plane, 5] = value
+        with pytest.raises(ValueError, match="^reference_run needs finite amplitudes$"):
+            reference_run(transpile(generate_qft(3)), src)
 
     def test_qft8_amplitudes(self):
         tc = transpile(generate_qft(8))
