@@ -191,7 +191,10 @@ def cmd_bench(args) -> int:
               f"{r.wall_time_s:.6f}  {r.modeled_time_s:.6e}  {r.ngs:.3e}")
     if args.out:
         _atomic_write(args.out, metrics.reports_to_jsonl(reports))
-    return 1 if failed else 0
+    if failed:
+        print(f"error: {failed} of {len(suite)} bench entries failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_compare(args) -> int:
@@ -284,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", help="JSONL table path")
     p_est.set_defaults(func=cmd_estimate)
 
+    # the type=int options read parse_int's numerals; argparse names a bad
+    # value's type by the option's type, int, so its message stays int()'s
+    for p in (p_bench, p_est):
+        p.register("type", int, parse_int)
     return parser
 
 

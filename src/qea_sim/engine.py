@@ -10,10 +10,17 @@ Two arithmetic variants share this layout and the kernels:
   * "fixed": int32 planes of Q2.30 raw words, modelling the device.
 
 Dense single-qubit updates are pair-atomic: both old amplitudes of a pair
-are read before either new one is written.  CX performs no arithmetic: it
-is deferred as a pending GF(2) index map and materialized only where a
-one-qubit gate cannot run on one stored axis, and at the end, by one
-quarter swap when the map is one CX and by one gather otherwise (_track).
+are read before either new one is written.  A dense step whose entries are
+each real or imaginary, same-plane or swapped-plane by the diagonal alone
+(H, Rx, Ry), takes a one-term kernel form in fixed runs and in
+reference_run: one product per input half, without the cross term that
+multiplies by an exact zero.  Fixed bits are the same (x*0 = 0, round(a +
+0) = round(a)); an in-place float run (run_circuit, apply_1q) keeps both
+terms, whose signs of zero its dump prints (_one_qubit).  CX performs no
+arithmetic: it is deferred as a pending GF(2) index map and materialized
+only where a one-qubit gate cannot run on one stored axis, and at the end,
+by one quarter swap when the map is one CX and by one gather otherwise
+(_track).
 Pairs within one gate are disjoint, so the pair space can be sharded
 across workers with bit-identical results.
 
@@ -92,6 +99,19 @@ def _rounded_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarra
     return fx.round_q60_array(np.add(a, b, out=a), out, b)
 
 
+def _rounded_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a one-term product's words, rounded into the scratch b
+    return fx.round_q60_array(a, b, b)
+
+
+def _fixed_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _rounded_term(a, b).clip(*_RAW_RANGE, out=b)
+
+
+def _exact_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a
+
+
 @dataclass(frozen=True)
 class _Arith:
     """What the shared code needs to know about one arithmetic variant."""
@@ -101,15 +121,17 @@ class _Arith:
     quantize: Callable          # float64 array -> storage words
     wide: type                  # kernel intermediate
     narrow_product: Callable    # (a, b, out): out = narrowed a + b, the two terms of a product
+    narrow_term: Callable       # (a, b): narrowed a, the one term of a product, in a or the scratch b
     narrow_sum: Callable        # (a, b, out): out = narrowed a + b, two narrowed products
 
 
 _ARITH = {
-    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_sum),
-    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, np.add),
+    FIXED: _Arith(np.int32, fx.RAW_ONE, fx.to_fixed_array, np.int64, _fixed_product, _fixed_term, _fixed_sum),
+    FLOAT: _Arith(np.float64, 1.0, np.asarray, np.float64, np.add, _exact_term, np.add),
 }
 # the fixed steps of a run that _clamp_free proves cannot saturate: same bits
-_CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_sum=partial(np.add, casting="unsafe"))
+_CLAMP_FREE = replace(_ARITH[FIXED], narrow_product=_rounded_product, narrow_term=_rounded_term,
+                      narrow_sum=partial(np.add, casting="unsafe"))
 
 
 def check_fits(n: int, arith: str) -> None:
@@ -252,34 +274,43 @@ def _run_parts(fn, parts: list[range], *args) -> None:
         pass
 
 
-def _one_qubit(tiles, ur, sgn, i: int, part: range) -> None:
-    """The pair kernel of one single-qubit gate over one part of its tiles.
+def _one_qubit(tiles, form: int, fa, fb, i: int, part: range) -> None:
+    """The pair kernel of one single-qubit step over one part of its tiles.
 
     A fixed-point tile is first copied, widened to int64, into the part's
-    buffer; every product of a tile lands in two more before any output is
-    written.  One pass covers both planes and both halves of a tile:
-    u*x = ur*x + (-ui, +ui)*x[::-1] per half.  The narrow steps run in
-    place on the buffers; the last one writes the tile's outputs.
+    buffer.  Two multiplies, by the step's operands fa and fb, put every
+    product of a tile in the part's buffers before any output is written,
+    together covering both planes and both halves; the narrow steps then
+    run in place on the buffers, and the last one writes the tile's outputs.
+    In the two-term form (form 0) they are the real cross terms of each
+    complex product, u*x = ur*x + (-ui, +ui)*x[::-1] per half, and the
+    narrow step acts on their sum.  A dense step whose entries u_ij are
+    each real or imaginary, same-plane or swapped-plane by d = i XOR j
+    alone, takes a one-term form 1 + 2 s_0 + s_1 (_operands): output half
+    i gets one product per input half, c_d * view_d(x), where view_d reads
+    the other half when d = 1 and the other plane when s_d = 1, and the
+    narrow step acts on that product alone.
     Complex arithmetic stays in separately rounded real ufuncs, which never
     fuse a multiply and an add: numpy's complex multiply may contract with
     FMA, which would break bit-identity with the scalar flag-loop oracle.
     (-ui)*xi is exactly -(ui*xi) and a + (-b) is exactly a - b in IEEE-754,
-    so the float kernel computes ur*xr - ui*xi, ur*xi + ui*xr bit for bit.
+    so the two-term float kernel computes ur*xr - ui*xi, ur*xi + ui*xr bit
+    for bit.
     """
-    view, cols, sparse, product, total, bufs = tiles
-    prod, tmp, src, xs, xr = bufs[i]
+    view, cols, sparse, (ia, ib), product, term, total, bufs = tiles
+    src, xa, xb, oa, ob, prod, tmp = bufs[i]
     for k in part:
         x = view[divmod(k, cols)]   # (half, plane, blocks and offsets) of the state
         if src is None:   # float words are multiplied where they lie
-            xs, xr = (x, x[:, ::-1]) if sparse else (x[:, None], x[:, None, ::-1])
+            xa, xb = x[ia], x[ib]
         else:             # int32 words widen faster in one copy than inside each multiply
             np.copyto(src, x)
-        np.multiply(xs, ur, out=prod)
-        np.multiply(xr, sgn, out=tmp)
+        np.multiply(xa, fa, out=oa)
+        np.multiply(xb, fb, out=ob)
         if sparse:   # an output half reads only its own input half
             product(prod, tmp, out=x)
-        else:        # one SU op per output amplitude: two multiplies, one add
-            p = product(prod, tmp, out=tmp)
+        else:        # one SU op per output amplitude
+            p = term(prod, tmp) if form else product(prod, tmp, out=tmp)
             total(p[0], p[1], out=x)
 
 
@@ -309,27 +340,66 @@ def _gather_index(columns: tuple, offset: int) -> np.ndarray:
     return idx
 
 
-# A gate's kernel operands by (input half, output half): ur, the real part
-# of each entry, and sgn, (-im, +im), as columns of its words flattened to
-# u00 u01 u10 u11 as (re, im), and the signs of sgn.  A sparse gate takes
-# u00 and u11 only.
-_COLUMNS = {False: (np.array([0, 4, 2, 6]), np.array([1, 1, 5, 5, 3, 3, 7, 7]), np.array([-1, 1] * 4)),
-            True: (np.array([0, 6]), np.array([1, 1, 7, 7]), np.array([-1, 1] * 2))}
+# The inputs of a step's two multiplies by mode and form, as indices into
+# its tile (half, plane, ...).  The two-term form takes x and x with its
+# planes swapped, each against every output half (dense) or its own
+# (sparse).  A one-term form 1 + 2 s_0 + s_1 takes view_0 and view_1, by
+# (output half b, plane p) view_d[b, p] = x[b ^ d, p ^ s_d].
+_ALL, _REV = slice(None), slice(None, None, -1)
+_INPUTS = {True: [((), (_ALL, _REV))],
+           False: [((_ALL, None), (_ALL, None, _REV))]
+                  + [((_ALL, _REV) if s0 else (), (_REV, _REV) if s1 else (_REV,)) for s0 in (0, 1) for s1 in (0, 1)]}
+
+# A gate's kernel operands as columns of its words flattened to u00 u01 u10
+# u11 as (re, im), and their signs.  Two-term: by (input half, output
+# half), ur, the real part of each entry, and sgn, (-im, +im).  A sparse
+# gate takes u00 and u11 only.  One-term, a dense gate's real and signed
+# imaginary words by (d, output half, plane), entry u_{b, b ^ d}: their sum
+# is c, (ur, ur) for a real entry and (-ui, +ui) for an imaginary one.
+_COLUMNS = {False: (np.array([0, 4, 2, 6] + [1, 1, 5, 5, 3, 3, 7, 7]
+                             + [0, 0, 6, 6, 2, 2, 4, 4] + [1, 1, 7, 7, 3, 3, 5, 5]),
+                    np.array([1] * 4 + [-1, 1] * 4 + [1] * 8 + [-1, 1] * 4)),
+            True: (np.array([0, 6, 1, 1, 7, 7]), np.array([1, 1, -1, 1, -1, 1]))}
 
 
-def _operands(words: np.ndarray, sparse: bool, wide: type) -> tuple[np.ndarray, np.ndarray]:
-    """Every gate's kernel operands (ur, sgn), by indexing its words."""
+def _one_term_form(zero: int) -> int:
+    """The form of a dense step whose zero words are the set bits of
+    `zero`, u00 u01 u10 u11 as (re, im) from bit 0: two-term unless at each
+    d both entries are real or both imaginary (zero is both), else one-term
+    with s_d set where they are not real."""
+    def both(a, b):
+        return zero >> a & zero >> b & 1
+    real, imag = (both(1, 7), both(3, 5)), (both(0, 6), both(2, 4))   # by d
+    if not all(r or i for r, i in zip(real, imag)):
+        return 0
+    return 1 + 2 * (not real[0]) + (not real[1])
+
+
+_FORMS = np.array([_one_term_form(zero) for zero in range(256)])
+_WORD_BITS = 1 << np.arange(8)
+
+
+def _operands(words: np.ndarray, sparse: bool, wide: type, one_term: bool) -> tuple:
+    """Every step's form and kernel operands by one indexing of its picked
+    words (steps, 4, 2): the forms, a list, and the operands (fa, fb) of
+    the two-term form, (ur, sgn), and of the one-term ones, (c_0, c_1)
+    (None for sparse steps).  Steps take one-term forms where `one_term`
+    allows them."""
     flat = words.reshape(-1, 8).astype(wide, copy=False)
-    re, im, signs = _COLUMNS[sparse]
-    shape = (-1, 2, 1, 1, 1) if sparse else (-1, 2, 2, 1, 1, 1)
-    # x * -1 is exactly -x, signed zeros included
-    return (flat.take(re, axis=1).reshape(shape),
-            (flat.take(im, axis=1) * signs).reshape(shape[:-3] + (2, 1, 1)))
+    columns, signs = _COLUMNS[sparse]
+    t = flat.take(columns, axis=1) * signs   # x * -1 is exactly -x, signed zeros included
+    if sparse:
+        return [0] * len(t), (t[:, :2].reshape(-1, 2, 1, 1, 1), t[:, 2:].reshape(-1, 2, 2, 1, 1)), None
+    forms = _FORMS[(flat == 0) @ _WORD_BITS].tolist() if one_term else [0] * len(t)
+    c = (t[:, 12:20] + t[:, 20:]).reshape(-1, 2, 2, 2, 1, 1)   # (d, half, plane)
+    return forms, (t[:, :4].reshape(-1, 2, 2, 1, 1, 1), t[:, 4:12].reshape(-1, 2, 2, 2, 1, 1)), (c[:, 0], c[:, 1])
 
 
-def _tile_kernel(planes: np.ndarray, arith: _Arith, target: int, sparse: bool, tile: int, rows) -> tuple:
-    """What _one_qubit needs for gates of one mode on one target: the planes
-    viewed as tiles, and per part the arrays it uses, prefixes of its row.
+def _tile_kernel(planes: np.ndarray, arith: _Arith, target: int, sparse: bool, tile: int, form: int,
+                 rows) -> tuple:
+    """What _one_qubit needs for steps of one mode and form on one target:
+    the planes viewed as tiles, the form's multiply inputs as indices into a
+    tile, and per part the arrays it uses, prefixes of its row.
     One reshape makes a tile `blocks` blocks of `offsets` offsets: part of
     one block's offsets when the stride is at least a tile, else whole
     blocks."""
@@ -349,14 +419,17 @@ def _tile_kernel(planes: np.ndarray, arith: _Arith, target: int, sparse: bool, t
     inner = view.shape[4:]
     shape = ((2, 2) if sparse else (2, 2, 2)) + inner
     size = (4 if sparse else 8) * tile
+    inputs = _INPUTS[sparse][form]
     bufs = []
     for r in rows:
-        src = xs = xr = None
+        prod, tmp = r[:2 * size].reshape((2,) + shape)
+        src = xa = xb = None   # a float tile's inputs are taken per tile
         if arith.dtype is not arith.wide:
             src = r[2 * size:2 * size + 4 * tile].reshape((2, 2) + inner)
-            xs, xr = (src, src[:, ::-1]) if sparse else (src[:, None], src[:, None, ::-1])
-        bufs.append((*r[:2 * size].reshape((2,) + shape), src, xs, xr))
-    return view, view.shape[1], sparse, arith.narrow_product, arith.narrow_sum, bufs
+            xa, xb = src[inputs[0]], src[inputs[1]]
+        # the multiplies' outputs: a one-term form's are prod's halves
+        bufs.append((src, xa, xb, *(prod if form else (prod, tmp)), prod, tmp))
+    return view, view.shape[1], sparse, inputs, arith.narrow_product, arith.narrow_term, arith.narrow_sum, bufs
 
 
 def _swap_views(planes: np.ndarray, bc: int, bt: int, buf: np.ndarray) -> tuple:
@@ -466,12 +539,15 @@ def _saturation_bound(norm: float, gates: int, words: int, growth: float = 1.0) 
 # full run.  CX permutes words in both.  A one-qubit step computes, for
 # every amplitude that can be nonzero, the full run's products of the same
 # gate words and adds them in the same way, at most with a sum's two terms
-# swapped (b_q = 1), which IEEE addition allows.  The terms it drops have
-# a zero factor, a left-out word or a zero gate entry (a scale step's
-# other row, its picked form's zeros); with the other factor finite such
-# a term is ±0, and x + (±0) = x in value.  So values are equal and
-# nonzero words bit-identical, and fidelity, mse and norm_error, which
-# square or subtract the words first, give the same bits.  The proof needs
+# swapped (b_q = 1) or its input halves' products in the other order (a
+# one-term step), which IEEE addition allows.  The terms it drops have a
+# zero factor, a left-out word or a zero gate word (a scale step's other
+# row, its picked form's zeros, and a one-term step's cross term with the
+# zero real or imaginary word of each entry, whose c adds ±0 to the other
+# word); with the other factor finite such a term is ±0, and x + (±0) = x
+# in value.  So values are equal and nonzero words bit-identical, and
+# fidelity, mse and norm_error, which square or subtract the words first,
+# give the same bits.  The proof needs
 # finite words, as 0 * inf is NaN: reference_run refuses non-finite input,
 # and a run that overflows to inf, from amplitudes near the float64
 # maximum, is outside it.
@@ -498,19 +574,21 @@ _GATHER = "gather"
 _PICKS = np.array([[0, 1, 2, 3], [3, 2, 1, 0]] * 2 + [[e, -1, -1, e] for e in range(4)])
 
 
-def _prepare(planes: np.ndarray, arith: _Arith, steps: list, words: np.ndarray, workers: int) -> list:
+def _prepare(planes: np.ndarray, arith: _Arith, steps: list, words: np.ndarray, workers: int,
+             one_term: bool) -> list:
     """A plan on these (2, 2^M) planes: one _run_parts argument tuple per
     step; `arith` gives the planes' words and the one-qubit steps' narrow
-    steps (their variant's, or _CLAMP_FREE).
+    steps (their variant's, or _CLAMP_FREE), and `one_term` whether dense
+    steps may take one-term forms (_one_qubit).
 
     The host's share of the device loading each gate's context before the
     sweep (pe_model.GATE_BYTES), once per run.  The steps are _track's
     records, transposed once here; one on m axes runs on the first 2^m
     words of each plane, a shorter range of tiles, or one smaller tile.
-    Operands come from the picked entries of `words` (as _words lays them
-    out) by one indexing per mode, tile views once per target, mode and
-    tile size.  Tiles of _TILE pairs are the unit of work and the only work
-    sharded: a quarter swap or a gather is one part.  Every tile shape's
+    Forms and operands come from the picked entries of `words` (as _words
+    lays them out) by one indexing per mode, tile views once per target,
+    mode, tile size and form.  Tiles of _TILE pairs are the unit of work
+    and the only work sharded: a quarter swap or a gather is one part.  Every tile shape's
     product, scratch and widened tile (in a row per tile part), the swap
     temporary and a gather's copy of the planes are reshaped prefixes of
     one flat buffer: one cache-warm block.
@@ -541,7 +619,7 @@ def _prepare(planes: np.ndarray, arith: _Arith, steps: list, words: np.ndarray, 
         forms = _PICKS[picks & 7]
         index = np.where(forms < 0, -1, (picks >> 3 << 2)[:, None] + forms)
         words = np.concatenate((words.reshape(-1, 2), np.zeros((1, 2), words.dtype)))[index]
-    operands = {mode == SPARSE: _operands(words, mode == SPARSE, arith.wide) for mode in modes}
+    operands = {mode == SPARSE: _operands(words, mode == SPARSE, arith.wide, one_term) for mode in modes}
     kernels, plan = {}, []
     for k, (cls, bits, m, _) in enumerate(steps):
         if cls == CX:
@@ -549,11 +627,13 @@ def _prepare(planes: np.ndarray, arith: _Arith, steps: list, words: np.ndarray, 
         elif cls == _GATHER:
             plan.append((_gather, [range(1)], planes[:, :1 << m], _gather_index(*bits), flat[:2 << m].reshape(2, -1)))
         else:
-            key = top - bits[0], cls == SPARSE, spans[m]   # the tile views of the first 2^m words
+            forms, two, one = operands[cls == SPARSE]
+            form = forms[k]
+            key = top - bits[0], cls == SPARSE, spans[m], form   # the tile views of the first 2^m words
             if key not in kernels:
                 kernels[key] = _tile_kernel(planes, arith, *key, rows)
-            ur, sgn = operands[key[1]]
-            plan.append((_one_qubit, tile_parts[m], kernels[key], ur[k], sgn[k]))
+            fa, fb = one if form else two
+            plan.append((_one_qubit, tile_parts[m], kernels[key], form, fa[k], fb[k]))
     return plan
 
 
@@ -724,6 +804,8 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
     without `track`, runs the same plan in place, every qubit active from
     the start.  Either way CX is deferred as an index map (_track); what is left of it at the end
     is materialized by the write-back or by the in-place plan's last step.
+    Dense steps take one-term forms where `track` is set (_one_qubit): a
+    float run without it keeps the two-term form's signs of zero.
     A worker count that is a bool, not an integer or below 1 is a ValueError.
     """
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -737,7 +819,7 @@ def _execute(state: StateVector, classes: list, qubits: list, words: np.ndarray,
         planes = np.zeros((2, 1 << (state.n - len(end))), planes.dtype)
         start = _frame_view(state.planes, values)
         planes[:, :1 << (state.n - len(values))].reshape(start.shape)[...] = start
-    for step in _prepare(planes, _CLAMP_FREE if clamp_free else arith, steps, words, workers):
+    for step in _prepare(planes, _CLAMP_FREE if clamp_free else arith, steps, words, workers, track):
         _run_parts(*step)
     swept = sum(1 << m for _, _, m, _ in steps)
     passes = sum(cls in (CX, _GATHER) for cls, _, _, _ in steps)

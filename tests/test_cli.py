@@ -422,6 +422,11 @@ _JSON_VALUES = st.one_of(_COUNTS, _KINDS, _JUNK, st.none(), st.booleans(), st.fl
 _JSON_ITEMS = st.tuples(st.sampled_from(["n", "gates", "global_phase", "kind", "qubits", "angle"]), _JSON_VALUES)
 _FIELDS = st.one_of(_COUNTS.map(str), _NUMERALS, _JUNK)
 _COMMANDS = st.sampled_from([["run"], ["run", "--arith=float"], ["compare"], ["estimate", "--qubits=3"]])
+# bench option values, mutated: --repeats stays at most 2 when it is a count
+_BENCH_OPTIONS = st.one_of(
+    st.tuples(st.just("--repeats"), st.one_of(st.integers(-2, 2).map(str), _NUMERALS, _JUNK)),
+    st.tuples(st.sampled_from(["--layers", "--pes"]), _FIELDS),
+    st.tuples(st.just("--freq"), st.one_of(_ANGLES, st.sampled_from(["0", "-1", "1e-320"]), _NUMERALS, _JUNK)))
 
 
 @st.composite
@@ -453,9 +458,15 @@ class TestFuzz:
 
     @staticmethod
     def _check_outcome(capsys, *argv):
-        code, out, err = run_cli(capsys, *argv)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:   # argparse refuses a bad option value: exit 2, "<prog>: error: "
+            code, prefix = exc.code, f"qea-sim {argv[0]}: error: "
+        else:
+            prefix = "error: "
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2)
-        assert code == 0 or any(line.startswith("error: ") for line in err.splitlines())
+        assert code == 0 or any(line.startswith(prefix) for line in err.splitlines())
         assert "Traceback" not in out + err
 
     fuzz = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -483,6 +494,17 @@ class TestFuzz:
     @given(command=_COMMANDS, spec=_specs())
     def test_generator_specs(self, capsys, command, spec):
         self._check_outcome(capsys, *command, f"--generate={spec}")
+
+    @fuzz
+    @given(what=st.sampled_from(["qft", "template"]), topology=st.sampled_from(TOPOLOGIES),
+           lo=st.integers(1, 8), span=st.integers(0, 2), data=st.data())
+    def test_bench_options(self, capsys, what, topology, lo, span, data):
+        options = [("--repeats", str(data.draw(st.integers(1, 2)))), ("--layers", str(data.draw(st.integers(1, 3)))),
+                   ("--seed", str(data.draw(st.integers(0, 9)))), ("--pes", str(data.draw(st.sampled_from([1, 2, 4])))),
+                   ("--freq", "2.5e8")]
+        options = data.draw(_mutated(options, _BENCH_OPTIONS))
+        self._check_outcome(capsys, "bench", what, f"--topology={topology}", f"--qubits={lo}..{min(lo + span, 8)}",
+                            *(f"{flag}={value}" for flag, value in options))
 
     @fuzz
     @given(bounds=st.lists(_COUNTS.map(str), min_size=1, max_size=2), data=st.data(),
@@ -521,6 +543,23 @@ class TestAsciiIntegers:
         code, out, err = run_cli(capsys, "run", str(tmp_path / "c.qc"))
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(numeral)}\n"
+
+    @pytest.mark.parametrize("numeral", ["1_0", "+3", " 3", "3 ", "\u0663", "\u0664"])
+    @pytest.mark.parametrize("argv", [
+        ("bench", "qft", "--qubits=3", "--repeats={}"),
+        ("bench", "template", "--topology=chain", "--qubits=3", "--repeats=1", "--layers={}"),
+        ("bench", "template", "--topology=chain", "--qubits=3", "--repeats=1", "--seed={}"),
+        ("bench", "qft", "--qubits=3", "--repeats=1", "--pes={}"),
+        ("estimate", "--qubits=4", "--pes={}"),
+    ], ids=["bench-repeats", "bench-layers", "bench-seed", "bench-pes", "estimate-pes"])
+    def test_int_options_refused(self, capsys, argv, numeral):
+        # argparse's own refusal of a type=int value, byte for byte, exit 2
+        with pytest.raises(SystemExit) as refused:
+            main([a.format(numeral) for a in argv])
+        out, err = capsys.readouterr()
+        option = next(a for a in argv if "{}" in a).split("=")[0]
+        assert (refused.value.code, out) == (2, "")
+        assert err.endswith(f"qea-sim {argv[0]}: error: argument {option}: invalid int value: {numeral!r}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (("--qubits=4", "--generate=qft:-3"), "n must be >= 1"),

@@ -16,7 +16,7 @@ import oracles
 from oracles import apply_1q_flagloop
 from qea_sim import engine, metrics
 from qea_sim import fixedpoint as fx
-from qea_sim.circuit import DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, gate_matrix, transpile
+from qea_sim.circuit import CX, DENSE, PARAMETERIZED, SPARSE, Circuit, Gate, GateKind, gate_matrix, transpile
 from qea_sim.engine import (FIXED, FLOAT, GateApplication, StateVector,
                             apply_1q, apply_cx,
                             format_dump, make_application, parse_dump,
@@ -947,6 +947,67 @@ class TestReferenceRun:
         assert src.planes[0][0] == fx.RAW_ONE and not src.planes[0][1:].any()
 
 
+def _forms(run) -> list:
+    """(sparse, form) of every _one_qubit call of run()."""
+    with mock.patch.object(engine, "_one_qubit", wraps=engine._one_qubit) as kernel:
+        run()
+    return [(call.args[0][2], call.args[1]) for call in kernel.call_args_list]
+
+
+class TestKernelForms:
+    """Which form each one-qubit step's kernel takes (engine._one_qubit):
+    one-term for every H, Rx and Ry step of a fixed run and of
+    reference_run, two-term for every Rz and scale step and for every
+    step of an in-place float run.  A silent fallback fails here."""
+
+    @pytest.mark.parametrize("tc", [transpile(generate_template("rotation", 9, 4, 3)),
+                                    transpile(generate_qft(7))], ids=["rotation", "qft"])
+    @pytest.mark.parametrize("start", ["zero", "dense"])
+    def test_forms(self, tc, start):
+        psi = oracles.random_state(tc.n, np.random.default_rng(23))
+        def state(arith):
+            return StateVector.zero(tc.n, arith) if start == "zero" else StateVector.from_complex(psi, arith)
+        dense = tc.classes.count(DENSE)
+        for run in (lambda: run_circuit(tc, state(FIXED)), lambda: reference_run(tc, state(FLOAT))):
+            forms = _forms(run)
+            # one call per step (one worker), and every dense gate is a dense step
+            assert sorted(form > 0 for sparse, form in forms if not sparse) == [True] * dense
+            assert all(form == 0 for sparse, form in forms if sparse)
+        forms = _forms(lambda: run_circuit(tc, state(FLOAT)))
+        assert len(forms) == len(tc.gates) - tc.classes.count(CX) and all(form == 0 for _, form in forms)
+
+    @pytest.mark.parametrize("arith,one_term", [(FIXED, True), (FLOAT, False)])
+    def test_apply_1q_forms(self, arith, one_term):
+        for kind in (GateKind.H, GateKind.RX, GateKind.RY):
+            app = make_application(Gate(kind, (1,), None if kind is GateKind.H else 0.9), arith)
+            form = 1 + (kind is GateKind.RX) if one_term else 0   # Rx: off-diagonal swapped-plane
+            assert _forms(lambda: apply_1q(StateVector.zero(3, arith), app)) == [(False, form)]
+
+
+class TestSignedZeros:
+    """A float run in place keeps the two-term form, whose zero signs its
+    dump prints: apply_1q and run_circuit of H, Rx and Ry on states holding
+    +0 and -0 match the flag loop bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX, GateKind.RY])
+    def test_float_in_place_matches_flagloop(self, kind):
+        rng = np.random.default_rng(29)
+        n = 4
+        words = rng.choice([0.0, -0.0, 0.5, -0.5], size=(2, 1 << n))
+        gates = tuple(Gate(kind, (q,), None if kind is GateKind.H else float(rng.uniform(0, 7))) for q in range(n))
+        for g in gates:
+            a, b = StateVector(n, FLOAT), StateVector(n, FLOAT)
+            a.planes[:] = b.planes[:] = words
+            apply_1q(a, make_application(g, FLOAT))
+            apply_1q_flagloop(b, make_application(g, FLOAT))
+            assert a.planes.tobytes() == b.planes.tobytes()
+        tc = transpile(Circuit(n, gates * 2))
+        a, b = StateVector(n, FLOAT), StateVector(n, FLOAT)
+        a.planes[:] = b.planes[:] = words
+        run_circuit(tc, a)
+        assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
+
+
 # sha256 of the QFT(6) dumps, recorded from the complex128 / twin-int32
 # engine that preceded the planar layout
 QFT6_DUMP_SHA256 = {
@@ -1026,7 +1087,7 @@ class TestPartCeiling:
         words = engine._words(gate_matrix(Gate(GateKind.H, (0,))), FIXED)
         row = engine._TILE * (16 + 4) * 8   # a part's int64 products, scratch and widened tile
         plan, peak = _traced_peak(lambda: engine._prepare(planes, engine._ARITH[FIXED], [(DENSE, (0,), 20, 0)],
-                                                          words, 10**6))
+                                                          words, 10**6, True))
         assert len(plan[0][1]) == engine._MAX_PARTS
         assert peak < (engine._MAX_PARTS + 1) * row   # a row of room for the operands and views
 
