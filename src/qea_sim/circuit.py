@@ -7,6 +7,7 @@ significant bit of the state index throughout.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import operator
@@ -211,13 +212,22 @@ _KINDS = {k.value: k for k in GateKind}
 
 
 def parse_int(text: str) -> int:
-    """int(text) for a plain ASCII numeral, digits behind an optional "-",
-    the rule of every integer the text format and the CLI read; other
-    digits, a "+", underscores and spaces, which int() takes, are a
-    ValueError with int()'s own message."""
+    """int(text) for a plain ASCII numeral, digits behind an optional "-";
+    other digits, a "+", underscores and spaces, which int() takes, are a
+    ValueError with int()'s own message.  With parse_float, the one rule of
+    every number read from text (dump body indices aside: engine._check_lines)."""
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """float(text) for a plain ASCII numeral, inf and nan included; other
+    digits, underscores and surrounding spaces, which float() takes, are a
+    ValueError with float()'s own message."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def _parse_qubit(tok: str, n: int, lineno: int, col: int) -> int:
@@ -231,13 +241,10 @@ def _parse_qubit(tok: str, n: int, lineno: int, col: int) -> int:
 
 
 def _parse_angle(tok: str, lineno: int, col: int) -> float:
-    try:
-        theta = float(tok)
-    except ValueError:
-        raise CircuitParseError(f"invalid angle {tok!r}", lineno, col) from None
-    if not math.isfinite(theta):
-        raise CircuitParseError(f"invalid angle {tok!r}", lineno, col)
-    return theta
+    with contextlib.suppress(ValueError):
+        if math.isfinite(theta := parse_float(tok)):
+            return theta
+    raise CircuitParseError(f"invalid angle {tok!r}", lineno, col)
 
 
 def parse_circuit(text: str) -> Circuit:

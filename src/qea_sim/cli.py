@@ -22,7 +22,7 @@ from pathlib import Path
 from . import metrics, pe_model
 from .circuit import (Circuit, CircuitParseError, TranspiledCircuit,
                       circuit_from_dict, circuit_to_dict, parse_circuit,
-                      parse_int, transpile)
+                      parse_float, parse_int, transpile)
 from .engine import FIXED, FLOAT, StateVector, check_fits, format_dump, max_workers, run_circuit
 from .generators import TOPOLOGIES, generate_qft, generate_template
 
@@ -83,13 +83,13 @@ def load_circuit_file(path: str) -> tuple[str, Circuit | TranspiledCircuit]:
 def _resolve_source(args, check) -> tuple[str, Circuit | TranspiledCircuit]:
     """The circuit to use; check(n) refuses a generated n before any gate is
     built, and a file's n once it is read."""
-    if getattr(args, "generate", None):
-        if getattr(args, "circuit", None):
+    if args.generate:
+        if args.circuit:
             raise ValueError("give either a circuit file or --generate, not both")
         name, n, build = _generator(args.generate)
         check(n)
         return name, build()
-    if getattr(args, "circuit", None):
+    if args.circuit:
         name, circ = load_circuit_file(args.circuit)
         check(circ.n)
         return name, circ
@@ -115,12 +115,8 @@ def _check_float_state(n: int) -> None:
 
 
 def _pe_config(args) -> pe_model.PEConfig:
-    kwargs = {}
-    if getattr(args, "pes", None) is not None:
-        kwargs["num_pes"] = args.pes
-    if getattr(args, "freq", None) is not None:
-        kwargs["freq_hz"] = args.freq
-    return pe_model.PEConfig(**kwargs)
+    given = {"num_pes": args.pes, "freq_hz": args.freq}
+    return pe_model.PEConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_run(args) -> int:
@@ -201,12 +197,11 @@ def cmd_compare(args) -> int:
     name, circ = _resolve_source(args, _check_float_state)
     tc = transpile(circ)
     cmp = metrics.compare_runs(tc, args.workers)
-    fid, err, drift = cmp.fidelity, cmp.mse, cmp.norm_error
-    print("name  n  gates  fidelity  mse  norm_error")
-    print(f"{name}  {circ.n}  {len(tc.gates)}  {fid:.12f}  {err:.6e}  {drift:.6e}")
+    record = {"name": name, "n": circ.n, "gates": len(tc.gates),
+              "fidelity": cmp.fidelity, "mse": cmp.mse, "norm_error": cmp.norm_error}
+    print("  ".join(record))
+    print("{name}  {n}  {gates}  {fidelity:.12f}  {mse:.6e}  {norm_error:.6e}".format(**record))
     if args.out:
-        record = {"name": name, "n": circ.n, "gates": len(tc.gates),
-                  "fidelity": fid, "mse": err, "norm_error": drift}
         _atomic_write(args.out, json.dumps(record, sort_keys=True) + "\n")
     return 0
 
@@ -287,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", help="JSONL table path")
     p_est.set_defaults(func=cmd_estimate)
 
-    # the type=int options read parse_int's numerals; argparse names a bad
-    # value's type by the option's type, int, so its message stays int()'s
+    # the type=int and type=float options read parse_int's and parse_float's
+    # numerals; argparse names a bad value's type by the option's type, int
+    # or float, so its message stays the same
     for p in (p_bench, p_est):
         p.register("type", int, parse_int)
+        p.register("type", float, parse_float)
     return parser
 
 
@@ -305,12 +302,9 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except CircuitParseError as exc:
+    except (ValueError, OSError) as exc:   # CircuitParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CircuitParseError) else 1
 
 
 if __name__ == "__main__":

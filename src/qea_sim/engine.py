@@ -46,6 +46,7 @@ amplitude of every gate.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import itertools
 import math
 import os
@@ -59,7 +60,8 @@ from typing import Callable
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuit import CX, DENSE, SPARSE, Gate, TranspiledCircuit, classify, gate_entries, gate_matrix
+from .circuit import (CX, DENSE, SPARSE, Gate, TranspiledCircuit, classify, gate_entries, gate_matrix,
+                      parse_float, parse_int)
 
 FIXED = "fixed"
 FLOAT = "float"
@@ -73,15 +75,13 @@ _RAW_RANGE = np.int64(fx.RAW_MIN), np.int64(fx.RAW_MAX)   # for .clip, which the
 
 def max_workers() -> int:
     """Worker-count cap from the environment: 1 when it is unset or empty,
-    else its value, which must be a positive integer in ASCII digits
+    else its value, which must be a positive integer read by parse_int
     (ValueError otherwise)."""
-    text = os.environ.get(WORKER_ENV, "")
-    if not text:
-        return 1
-    count = int(text) if text.isascii() and text.isdigit() else 0
-    if count < 1:
-        raise ValueError(f"{WORKER_ENV} must be a positive integer, got {text!r}")
-    return count
+    text = os.environ.get(WORKER_ENV, "") or "1"
+    with contextlib.suppress(ValueError):
+        if (count := parse_int(text)) >= 1:
+            return count
+    raise ValueError(f"{WORKER_ENV} must be a positive integer, got {text!r}")
 
 
 def _fixed_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -321,12 +321,13 @@ def _swap(a, b, t, i: int, part: range) -> None:
     np.copyto(b, t)
 
 
-def _gather(planes, index, out, i: int, part: range) -> None:
+def _gather(planes, bits, out, i: int, part: range) -> None:
     """A permutation of the words in one pass: both planes taken through
-    the index into the plan's buffer, then copied back, so the views of
-    later steps stay valid."""
+    the index of bits, _gather_index's columns and offset, into the plan's
+    buffer, then copied back, so the views of later steps stay valid.  The
+    index is built here, so a plan holds none of its gathers' indices."""
     # every index is in range; "raise" would copy through a buffer, "clip" writes out directly
-    np.take(planes, index, axis=1, out=out, mode="clip")
+    np.take(planes, _gather_index(*bits), axis=1, out=out, mode="clip")
     np.copyto(planes, out)
 
 
@@ -625,7 +626,7 @@ def _prepare(planes: np.ndarray, arith: _Arith, steps: list, words: np.ndarray, 
         if cls == CX:
             plan.append((_swap, [range(1)], *_swap_views(planes[:, :1 << m], *bits, flat)))
         elif cls == _GATHER:
-            plan.append((_gather, [range(1)], planes[:, :1 << m], _gather_index(*bits), flat[:2 << m].reshape(2, -1)))
+            plan.append((_gather, [range(1)], planes[:, :1 << m], bits, flat[:2 << m].reshape(2, -1)))
         else:
             forms, two, one = operands[cls == SPARSE]
             form = forms[k]
@@ -995,13 +996,6 @@ def format_dump(state: StateVector) -> str:
     return "".join(chunks)
 
 
-def _numeral(field: str, kind: type):
-    """kind(field) for a plain ASCII numeral: no other digits, no underscores."""
-    if not field.isascii() or "_" in field:
-        raise ValueError(field)
-    return kind(field)
-
-
 def _check_lines(lines: list[str], seen: bytearray, lineno: int) -> None:
     """Raise ValueError naming the first of these non-blank body lines, the
     first being dump line `lineno`, that fails the per-line checks; `seen`
@@ -1013,13 +1007,14 @@ def _check_lines(lines: list[str], seen: bytearray, lineno: int) -> None:
         if len(fields) != 5:
             raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(fields)}")
         try:
-            i = _numeral(fields[0], int)
+            # the one exception to parse_int: np.loadtxt, the fast path, takes a "+" before an index
+            i = parse_int(fields[0][1:] if fields[0][:1] == "+" and fields[0][1:2].isdigit() else fields[0])
             if 0 <= i < count and not seen[i]:
                 seen[i] = 1
                 if not all(len(h) == 8 and _HEX_DIGITS.issuperset(h) for h in fields[1:3]):
                     raise ValueError(ln)
                 for v in fields[3:]:
-                    _numeral(v, float)
+                    parse_float(v)
                 continue
         except ValueError:
             raise ValueError(f"dump line {lineno}: unreadable field in {ln.strip()!r}") from None
@@ -1114,12 +1109,13 @@ def parse_dump(text: str) -> StateVector:
     Every index in 0..2^n-1 must appear exactly once, every field must
     parse, and the hex columns must be the Q2.30 quantization of the float
     columns, the rule format_dump writes them by for both arithmetics.
-    Fields are plain ASCII numerals, and hex fields exactly 8 hex digits,
-    as format_dump writes them.  The text is split into lines once, a piece
-    at a time, and the header, the line count and the body are read from
-    that pass, the body as arrays; only a dump that fails is read again, to
-    name its first failure: its lines counted, and the per-line checks run
-    from the piece that failed on (_refuse).
+    Fields are plain ASCII numerals (parse_int, parse_float; a body index
+    may also take a "+", which np.loadtxt reads), and hex fields exactly 8
+    hex digits, as format_dump writes them.  The text is split into lines
+    once, a piece at a time, and the header, the line count and the body
+    are read from that pass, the body as arrays; only a dump that fails is
+    read again, to name its first failure: its lines counted, and the
+    per-line checks run from the piece that failed on (_refuse).
     """
     pieces = _text_pieces(text)
     head, rest = _header(pieces)
@@ -1128,7 +1124,7 @@ def parse_dump(text: str) -> StateVector:
         fields = dict(part.split("=", 1) for part in parts)
         if len(parts) != 2 or fields.keys() != {"n", "arith"}:   # each key once, no other
             raise ValueError(head)
-        n, arith = _numeral(fields["n"], int), fields["arith"]
+        n, arith = parse_int(fields["n"]), fields["arith"]
     except ValueError:
         raise ValueError(f"dump header must be 'n=<n> arith=<fixed|float>', got {head!r}") from None
     try:

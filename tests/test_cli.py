@@ -517,7 +517,10 @@ class TestFuzz:
 class TestAsciiIntegers:
     """Every integer of a generator spec, a qubit range or a text circuit
     is a plain ASCII numeral, digits behind an optional "-": other digits,
-    underscores, a "+" and spaces, which int() reads, are refused."""
+    underscores, a "+" and spaces, which int() reads, are refused.  Every
+    float, a text circuit's angles and --freq, is a plain ASCII numeral by
+    the same rule, a sign allowed: other digits, underscores and spaces,
+    which float() reads, are refused."""
 
     @pytest.mark.parametrize("numeral", ["1_0", "+3", " 3", "3 ", "\u0663"])
     @pytest.mark.parametrize("argv", [
@@ -560,6 +563,42 @@ class TestAsciiIntegers:
         option = next(a for a in argv if "{}" in a).split("=")[0]
         assert (refused.value.code, out) == (2, "")
         assert err.endswith(f"qea-sim {argv[0]}: error: argument {option}: invalid int value: {numeral!r}\n")
+
+    @pytest.mark.parametrize("numeral", ["1_0", " 5", "\u0663"])
+    @pytest.mark.parametrize("argv", [
+        ("bench", "qft", "--qubits=3", "--repeats=1", "--freq={}"),
+        ("estimate", "--qubits=4", "--freq={}"),
+    ], ids=["bench-freq", "estimate-freq"])
+    def test_float_options_refused(self, capsys, argv, numeral):
+        # argparse's own refusal of a type=float value, byte for byte, exit 2
+        with pytest.raises(SystemExit) as refused:
+            main([a.format(numeral) for a in argv])
+        out, err = capsys.readouterr()
+        assert (refused.value.code, out) == (2, "")
+        assert err.endswith(f"qea-sim {argv[0]}: error: argument --freq: invalid float value: {numeral!r}\n")
+
+    def test_float_option_accepted(self, capsys):
+        # 2.5e8 is PEConfig's own frequency: the same tables, cycles and times
+        argv = ("estimate", "--generate=qft:4", "--qubits=4")
+        code, out, err = run_cli(capsys, *argv, "--freq", "2.5e8")
+        assert (code, out, err) == (0, *run_cli(capsys, *argv)[1:])
+        assert "modeled_time_s=" in out
+
+    @pytest.mark.parametrize("angle", ["1_0", "\u0663"])
+    @pytest.mark.parametrize("gate", ["rx", "ry"])
+    def test_circuit_file_angles_refused(self, tmp_path, capsys, gate, angle):
+        (tmp_path / "c.qc").write_text(f"qubits 1\n{gate} {angle} 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(tmp_path / "c.qc"))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2, col 4: invalid angle {angle!r}\n"
+
+    @pytest.mark.parametrize("angle", ["1e-05", "+1.5", ".5", "-0.0"])
+    def test_circuit_file_angles_accepted(self, tmp_path, capsys, angle):
+        (tmp_path / "c.qc").write_text(f"qubits 1\nrx {angle} 0\n", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "run", str(tmp_path / "c.qc"), "--out", str(tmp_path / "d"),
+                             "--circuit-out", str(tmp_path / "c.json"))
+        [gate] = json.loads((tmp_path / "c.json").read_text())["gates"]
+        assert code == 0 and gate["angle"].hex() == float(angle).hex()   # -0.0 keeps its sign
 
     @pytest.mark.parametrize("argv,message", [
         (("--qubits=4", "--generate=qft:-3"), "n must be >= 1"),

@@ -574,6 +574,19 @@ class TestCxPasses:
         assert (stats.cx_passes, swap.call_count, gather.call_count) == (2, 1, 1)
         assert a.planes.tobytes() == _gate_by_gate(b, tc).planes.tobytes()
 
+    @pytest.mark.parametrize("arith", [FIXED, FLOAT])
+    def test_plan_holds_no_gather_index(self, arith):
+        # 400 gathers on a 2^16-amplitude state: each builds its 2^16-entry
+        # index (512 KiB) when it runs, so the run's traced peak does not grow
+        # with the number of gathers.  A memory bound, not a time one.
+        gates = [Gate(GateKind.H, (q,)) for q in range(16)]
+        gates += [Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 2)), Gate(GateKind.H, (2,))] * 400
+        tc = transpile(Circuit(16, tuple(gates)))
+        sv = StateVector.zero(16, arith)
+        (_, stats), peak = _traced_peak(lambda: run_circuit(tc, sv))
+        assert stats.cx_passes == 400
+        assert peak < 8 << 20
+
     def test_cancelled_pair_makes_no_pass(self):
         rng = np.random.default_rng(127)
         psi = oracles.random_state(5, rng)
@@ -1234,6 +1247,14 @@ class TestDumpFormat:
         ({1: "n=5 arith=fixed n=2"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=5 arith=fixed n=2'"),
         ({1: "n=2 arith=fixed junk=1"},
          "dump header must be 'n=<n> arith=<fixed|float>', got 'n=2 arith=fixed junk=1'"),
+        # the header's n is read by parse_int: no "+"
+        ({1: "n=+2 arith=fixed"}, "dump header must be 'n=<n> arith=<fixed|float>', got 'n=+2 arith=fixed'"),
+        # non-finite floats pass the per-line checks and reach quantize
+        ({4: "2 00000000 00000000 +inf 0.0"}, "cannot quantize non-finite values"),
+        # a body index behind a "+" is np.loadtxt's, so the per-line checks take it too
+        ({3: "+1 00000000 00000000 0.0 0.0", 4: "2 0000000g 00000000 0.0 0.0"},
+         "dump line 4: unreadable field in '2 0000000g 00000000 0.0 0.0'"),
+        ({3: "+-1 00000000 00000000 0.0 0.0"}, "dump line 3: unreadable field in '+-1 00000000 00000000 0.0 0.0'"),
     ])
     def test_rejection_table(self, edits, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1339,6 +1360,9 @@ class TestDumpFormat:
          [0x40000000, 0, 0xA, 0, 0, 0, 0x3FFFFFFF, 0]),
         ({2: "3 00000000 c0000000 0.0 -1.0", 5: "0 40000000 00000000 1 +0"},
          [0x40000000, 0, 0, 0, 0, 0, 0, 0xC0000000]),
+        # float signs and short forms; a body index behind a "+" (np.loadtxt's rule)
+        ({2: "0 40000000 00000000 +1.0 -0", 3: "+1 00000000 00000000 .0 +0.", 4: "2 00000000 00000000 0e0 +0"},
+         [0x40000000, 0, 0, 0, 0, 0, 0, 0]),
     ])
     def test_accepted_variants(self, edits, words):
         # blank lines, tabs and runs of spaces, upper-case hex, signs, short floats
