@@ -933,14 +933,13 @@ def reference_run(tc: TranspiledCircuit, state: StateVector, workers: int = 1) -
 # ---------------------------------------------------------------------------
 # State dump: header `n=<n> arith=<variant>`, then one line per amplitude:
 #   <index> <re_hex> <im_hex> <re_float> <im_float>
-# Hex columns are the Q2.30 storage words (quantized for the float variant).
+# Hex columns are the Q2.30 storage words as Fixed.hex writes them (quantized for the float variant).
 # ---------------------------------------------------------------------------
 
 _DUMP_SLICE = 1 << 10   # amplitudes per chunk of dump text written, and floats per block of reprs
 _DUMP_PIECE = 1 << 20   # characters of dump text split into lines at a time
 # a body line as np.loadtxt reads it; a hex field's 9th byte shows a longer one
 _DUMP_LINE = np.dtype([("index", "i8"), ("re_hex", "S9"), ("im_hex", "S9"), ("re", "f8"), ("im", "f8")])
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _SIGNS = np.array([b"", b"-"], dtype=object)   # a float field's prefix, by sign bit
 _REPR = "S23"   # the longest repr of a non-negative finite float: 2.2250738585072014e-308
 
@@ -954,7 +953,7 @@ def _line_heads(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     for k in range(width - 1, -1, -1):
         index, digit = np.divmod(index, 10)
         heads[:, k] = digit + ord("0")
-    # big-endian words hexlify to their hex digits, first to last: parse_dump's unhexlify inverted
+    # Fixed.hex on every word: big-endian int32 bytes hexlified, as parse_dump's unhexlify reads them
     hexes = np.frombuffer(binascii.hexlify(words[:, lo:hi].astype(">i4").tobytes()), np.uint8)
     heads[:, width + 1:width + 9], heads[:, width + 10:width + 18] = hexes.reshape(2, hi - lo, 8)
     return heads.view(f"S{width + 19}")[:, 0]
@@ -1011,10 +1010,8 @@ def _check_lines(lines: list[str], seen: bytearray, lineno: int) -> None:
             i = parse_int(fields[0][1:] if fields[0][:1] == "+" and fields[0][1:2].isdigit() else fields[0])
             if 0 <= i < count and not seen[i]:
                 seen[i] = 1
-                if not all(len(h) == 8 and _HEX_DIGITS.issuperset(h) for h in fields[1:3]):
-                    raise ValueError(ln)
-                for v in fields[3:]:
-                    parse_float(v)
+                for read, field in zip((fx.Fixed.from_hex, fx.Fixed.from_hex, parse_float, parse_float), fields[1:]):
+                    read(field)
                 continue
         except ValueError:
             raise ValueError(f"dump line {lineno}: unreadable field in {ln.strip()!r}") from None
@@ -1066,7 +1063,7 @@ def _read_body(pieces, sv: StateVector, refuse: Callable) -> np.ndarray:
             words = np.frombuffer(binascii.unhexlify(hexes[..., :8].tobytes()), ">i4").reshape(2, -1)
             values = np.stack((rec["re"], rec["im"]))
             bad.append(i[(fx.to_fixed_array(values) != words).any(axis=0)])
-            sv.planes[:, i] = _ARITH[sv.arith].quantize(values)
+            sv.planes[:, i] = words if sv.arith == FIXED else values   # a fixed dump's words are its planes
         except ValueError:
             refuse(itertools.chain([lines], pieces), index[:done])
             raise
@@ -1110,12 +1107,13 @@ def parse_dump(text: str) -> StateVector:
     parse, and the hex columns must be the Q2.30 quantization of the float
     columns, the rule format_dump writes them by for both arithmetics.
     Fields are plain ASCII numerals (parse_int, parse_float; a body index
-    may also take a "+", which np.loadtxt reads), and hex fields exactly 8
-    hex digits, as format_dump writes them.  The text is split into lines
-    once, a piece at a time, and the header, the line count and the body
-    are read from that pass, the body as arrays; only a dump that fails is
-    read again, to name its first failure: its lines counted, and the
-    per-line checks run from the piece that failed on (_refuse).
+    may also take a "+", which np.loadtxt reads), and a hex field is a word
+    as Fixed.from_hex reads it; a fixed dump's planes are those words.  The
+    text is split into lines once, a piece at a time, and the header, the
+    line count and the body are read from that pass, the body as arrays;
+    only a dump that fails is read again, to name its first failure: its
+    lines counted, and the per-line checks run from the piece that failed
+    on (_refuse).
     """
     pieces = _text_pieces(text)
     head, rest = _header(pieces)

@@ -7,6 +7,7 @@
 #     rounds once per component (wide-accumulator MAC behaviour).
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass
 
@@ -57,15 +58,15 @@ class Fixed:
         return Fixed, (self.raw,)
 
     def hex(self) -> str:
-        """Two's-complement storage word as 8 hex digits."""
-        return format(self.raw & 0xFFFFFFFF, "08x")
+        """The storage word as a dump writes it: its big-endian int32 bytes hexlified, 8 digits."""
+        return binascii.hexlify(self.raw.to_bytes(4, "big", signed=True)).decode()
 
     @classmethod
     def from_hex(cls, text: str) -> "Fixed":
-        raw = int(text, 16)
-        if raw >= 1 << 31:
-            raw -= 1 << 32
-        return cls(raw)
+        """Inverse of hex, either case: text other than 8 ASCII hex digits is a ValueError, as in a dump."""
+        if len(text) != 8:   # unhexlify reads any even number of digits
+            raise ValueError(f"a Q2.30 word is 8 hex digits, got {text!r}")
+        return cls(int.from_bytes(binascii.unhexlify(text), "big", signed=True))
 
 
 ZERO = Fixed(0)

@@ -167,7 +167,10 @@ def calibrate_overhead(tc: TranspiledCircuit, cfg: PEConfig, target_time_s: floa
 
     Returns the fitted scalar (clamped at zero if the raw model already
     exceeds the target); callers report it alongside the raw prediction.
+    A non-finite target is a ValueError, as PEConfig's own fields are.
     """
+    if not math.isfinite(target_time_s):
+        raise ValueError(f"target_time_s must be finite, got {target_time_s!r}")
     base = estimate_cycles(tc, replace(cfg, per_gate_overhead_cycles=0.0))
     gates = base.total_gates
     if gates == 0:

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qea_sim import engine, fixedpoint as fx
 from qea_sim.circuit import DENSE, SPARSE
-from qea_sim.engine import FIXED, GateApplication, StateVector, apply_1q
+from qea_sim.engine import FIXED, FLOAT, GateApplication, StateVector, apply_1q
 
 
 def rne_exact(value: Fraction) -> int:
@@ -206,8 +208,39 @@ class TestHexForm:
         assert fx.Fixed(fx.RAW_MIN).hex() == "80000000"
 
     def test_from_hex_round_trip(self):
-        for raw in (0, 1, -1, fx.RAW_MIN, fx.RAW_MAX, 759250125):
-            assert fx.Fixed.from_hex(fx.Fixed(raw).hex()).raw == raw
+        for raw in (0, 1, -1, fx.RAW_MIN, fx.RAW_MAX, 0x40000000, 759250125):
+            text = fx.Fixed(raw).hex()
+            assert text == text.lower()
+            assert fx.Fixed.from_hex(text).raw == fx.Fixed.from_hex(text.upper()).raw == raw
+
+    @pytest.mark.parametrize("text", [
+        "100000000",           # 9 digits, whose int32 word would wrap to 0
+        "4000_000", "+4000000", " 4000000", "0x400000", "\u06640000000",   # 8 characters, not all hex digits
+        "", "40", "000040", "0000000040000000",   # hex digits unhexlify reads, but not 8 of them
+    ])
+    def test_from_hex_refuses_all_but_8_hex_digits(self, text):
+        with pytest.raises(ValueError):
+            fx.Fixed.from_hex(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(field=st.text("0123456789abcdefABCDEFx_+- \u0664", min_size=8, max_size=8),
+           arith=st.sampled_from([FIXED, FLOAT]))
+    def test_from_hex_agrees_with_parse_dump(self, field, arith):
+        # the float column holds the value int(field, 16) would give, so only
+        # the hex rule can refuse the dump
+        try:
+            raw = (int(field, 16) + 2 ** 31) % 2 ** 32 - 2 ** 31
+        except ValueError:
+            raw = 0
+        text = f"n=1 arith={arith}\n0 {field} 00000000 {raw / fx.RAW_ONE!r} 0.0\n1 00000000 00000000 0.0 0.0\n"
+        try:
+            word = fx.Fixed.from_hex(field)
+        except ValueError:
+            with pytest.raises(ValueError):
+                engine.parse_dump(text)
+        else:
+            assert word.raw == raw
+            assert fx.to_fixed(engine.parse_dump(text)._values()[0, 0]) == word
 
 
 class TestArrayHelpers:

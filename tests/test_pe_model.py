@@ -239,6 +239,15 @@ class TestModeledTime:
         with pytest.raises(ValueError, match="^cannot calibrate on an empty circuit$"):
             calibrate_overhead(tc_of(4, []), PEConfig(), 0.329)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_calibration_refuses_a_non_finite_target(self, target):
+        # nan read as 0.0 and inf as inf, an overhead PEConfig itself refuses
+        with pytest.raises(ValueError, match=f"^target_time_s must be finite, got {target!r}$"):
+            calibrate_overhead(tc_of(4, [Gate(GateKind.H, (0,))]), PEConfig(), target)
+
+    def test_calibration_clamps_a_negative_target_at_zero(self):
+        assert calibrate_overhead(tc_of(4, [Gate(GateKind.H, (0,))]), PEConfig(), -1.0) == 0.0
+
 
 class TestMemory:
     def test_qea_n7_no_gates(self):
